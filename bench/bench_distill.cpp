@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/decode.hpp"
 #include "core/metrics.hpp"
 #include "core/tabular.hpp"
 #include "serve/predictor.hpp"
@@ -96,11 +97,11 @@ main(int argc, char **argv)
     core::train_online(adapter, train_n, tc);
 
     // The distillation stream: every index of the training prefix
-    // with enough history. Candidates are over-fetched by 2 so the
-    // decode loop can skip OOV/duplicates, mirroring predict_on.
+    // with enough history. Candidates are over-fetched so the decode
+    // step can skip OOV/duplicates, mirroring predict_on.
     std::vector<std::size_t> eval(train_n - adapter.min_index());
     std::iota(eval.begin(), eval.end(), adapter.min_index());
-    const std::size_t k = degree + 2;
+    const std::size_t k = degree + core::kDecodeOverFetch;
 
     std::vector<std::vector<core::TokenPrediction>> teacher;
     const double fp32_secs = timed([&] {
@@ -117,28 +118,22 @@ main(int argc, char **argv)
     const double fp32_us = fp32_secs * us;
     const double int8_us = int8_secs * us;
 
-    // predict_on's decode loop: rank order, skip undecodable, dedup,
-    // stop at degree. Output is indexed by stream position and sized
-    // to the training prefix so the unified metric scores exactly the
-    // distillation stream.
+    // predict_on's decode step (core::decode_candidates). Output is
+    // indexed by stream position and sized to the training prefix so
+    // the unified metric scores exactly the distillation stream.
     const auto decode_all =
         [&](const std::vector<std::vector<core::TokenPrediction>>
                 &cands) {
             std::vector<std::vector<Addr>> out(train_n);
             for (std::size_t j = 0; j < eval.size(); ++j) {
                 const Addr prev = stream[eval[j]].line;
-                auto &slot = out[eval[j]];
-                for (const auto &p : cands[j]) {
-                    if (slot.size() >= degree)
-                        break;
-                    const auto line =
-                        adapter.vocab().decode(p.page, p.offset, prev);
-                    if (!line)
-                        continue;
-                    if (std::find(slot.begin(), slot.end(), *line) ==
-                        slot.end())
-                        slot.push_back(*line);
-                }
+                core::decode_candidates(
+                    cands[j], degree,
+                    [&](const core::TokenPrediction &p) {
+                        return adapter.vocab().decode(p.page, p.offset,
+                                                      prev);
+                    },
+                    out[eval[j]]);
             }
             return out;
         };

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/decode.hpp"
 #include "core/tabular.hpp"
 #include "serve/client.hpp"
 #include "serve/heuristic.hpp"
@@ -210,7 +211,7 @@ main(int argc, char **argv)
     std::vector<std::size_t> teach_idx(train_n - adapter.min_index());
     std::iota(teach_idx.begin(), teach_idx.end(), adapter.min_index());
     const auto teacher = adapter.predict_token_candidates(
-        teach_idx, tab_cfg.degree + 2);
+        teach_idx, tab_cfg.degree + core::kDecodeOverFetch);
     const auto table = core::distill_to_table(
         adapter.encoded(), teach_idx, teacher, vc.seq_len, tab_cfg);
     std::cout << "distilled table: " << table.l1_entries() << " L1 + "

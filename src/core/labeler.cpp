@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/decode.hpp"
+
 namespace voyager::core {
 
 std::string
@@ -137,13 +139,10 @@ distinct_labels(const LabelSet &set,
                 const std::vector<LabelScheme> &enabled)
 {
     std::vector<Addr> out;
-    for (const LabelScheme s : enabled) {
-        const auto &lab = set[static_cast<std::size_t>(s)];
-        if (!lab)
-            continue;
-        if (std::find(out.begin(), out.end(), *lab) == out.end())
-            out.push_back(*lab);
-    }
+    decode_candidates(
+        enabled, enabled.size(),
+        [&](LabelScheme s) { return set[static_cast<std::size_t>(s)]; },
+        out);
     return out;
 }
 

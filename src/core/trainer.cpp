@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/decode.hpp"
 #include "util/fault_injection.hpp"
 #include "util/health.hpp"
 #include "util/random.hpp"
@@ -408,42 +409,19 @@ std::vector<std::vector<Addr>>
 VoyagerAdapter::predict_on(const std::vector<std::size_t> &indices,
                            std::uint32_t degree)
 {
+    const auto cands =
+        predict_token_candidates(indices, degree + kDecodeOverFetch);
     std::vector<std::vector<Addr>> out(indices.size());
-    const std::size_t bs = cfg_.batch_size;
-    VoyagerBatch batch;
-    std::vector<std::size_t> chunk;
-    std::vector<std::size_t> chunk_slots;
-    for (std::size_t pos = 0; pos < indices.size(); pos += bs) {
-        chunk.clear();
-        chunk_slots.clear();
-        for (std::size_t k = pos;
-             k < std::min(indices.size(), pos + bs); ++k) {
-            if (indices[k] + 1 < cfg_.seq_len ||
-                indices[k] >= stream_.size())
-                continue;
-            chunk.push_back(indices[k]);
-            chunk_slots.push_back(k);
-        }
-        if (chunk.empty())
-            continue;
-        fill_histories(chunk, batch);
-        // Over-fetch candidates so OOV/undecodable ones can be skipped.
-        const auto preds = predict_tokens(batch, degree + 2);
-        for (std::size_t b = 0; b < chunk.size(); ++b) {
-            const Addr prev_line = stream_[chunk[b]].line;
-            auto &slot = out[chunk_slots[b]];
-            for (const auto &p : preds[b]) {
-                if (slot.size() >= degree)
-                    break;
-                const auto line =
-                    vocab_.decode(p.page, p.offset, prev_line);
-                if (!line)
-                    continue;
-                if (std::find(slot.begin(), slot.end(), *line) ==
-                    slot.end())
-                    slot.push_back(*line);
-            }
-        }
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+        if (cands[j].empty())
+            continue;  // no history (or past the stream): no forward
+        const Addr prev_line = stream_[indices[j]].line;
+        decode_candidates(
+            cands[j], degree,
+            [&](const TokenPrediction &p) {
+                return vocab_.decode(p.page, p.offset, prev_line);
+            },
+            out[j]);
     }
     return out;
 }
@@ -581,17 +559,18 @@ DeltaLstmAdapter::predict_on(const std::vector<std::size_t> &indices,
         fill_histories(chunk, batch);
         const auto preds = model_->predict(batch, degree + 1);
         for (std::size_t b = 0; b < chunk.size(); ++b) {
-            const Addr cur = stream_[chunk[b]].line;
-            auto &slot = out[chunk_slots[b]];
-            for (const auto &[tok, prob] : preds[b]) {
-                if (slot.size() >= degree)
-                    break;
-                const auto d = vocab_.decode(tok);
-                if (!d)
-                    continue;
-                slot.push_back(static_cast<Addr>(
-                    static_cast<std::int64_t>(cur) + *d));
-            }
+            const auto cur = static_cast<std::int64_t>(
+                stream_[chunk[b]].line);
+            decode_candidates(
+                preds[b], degree,
+                [&](const std::pair<std::int32_t, float> &p)
+                    -> std::optional<Addr> {
+                    const auto d = vocab_.decode(p.first);
+                    if (!d)
+                        return std::nullopt;
+                    return static_cast<Addr>(cur + *d);
+                },
+                out[chunk_slots[b]]);
         }
     }
     return out;

@@ -275,11 +275,12 @@ class VoyagerAdapter final : public SequenceModel
     }
 
     /**
-     * Ranked top-k token candidates per index — the token-level twin
-     * of predict_on (same trailing windows, same batch chunking,
-     * same engine routing) minus the decode loop. The distillation
-     * pass (core/tabular.hpp) consumes these as teacher labels.
-     * Indices without enough history yield empty slots.
+     * Ranked top-k token candidates per index over the trailing
+     * windows, batch-chunked and routed through the active engine.
+     * predict_on is this at k = degree + kDecodeOverFetch followed by
+     * decode_candidates; the distillation pass (core/tabular.hpp)
+     * consumes the same candidates as teacher labels. Indices without
+     * enough history yield empty slots.
      */
     std::vector<std::vector<TokenPrediction>>
     predict_token_candidates(const std::vector<std::size_t> &indices,

@@ -1,7 +1,6 @@
 #include "serve/heuristic.hpp"
 
-#include <algorithm>
-
+#include "core/decode.hpp"
 #include "prefetch/hybrid.hpp"
 #include "prefetch/registry.hpp"
 
@@ -34,17 +33,14 @@ HeuristicEngine::observe(const PrefetchRequest &req)
     access.pc = req.raw_pc;
     access.line = req.prev_line;
     access.is_load = true;
-    std::vector<Addr> raw =
+    const std::vector<Addr> raw =
         tenant_engine(req.tenant).on_access(access);
-    // Same post-processing as the neural decode loop: distinct lines,
-    // at most req.degree of them, prediction order preserved.
+    // Same post-processing as the neural rungs, with lines that need
+    // no decoding: distinct, at most req.degree, order preserved.
     std::vector<Addr> lines;
-    for (const Addr line : raw) {
-        if (lines.size() >= req.degree)
-            break;
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
-    }
+    core::decode_candidates(
+        raw, req.degree,
+        [](Addr line) { return std::optional<Addr>(line); }, lines);
     return lines;
 }
 

@@ -1,10 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/fault_injection.hpp"
 
@@ -18,15 +19,31 @@ constexpr std::size_t kBatchHistBuckets = 65;
 constexpr double kTickHistHi = 256.0;
 constexpr std::size_t kTickHistBuckets = 64;
 
-/** First rung carrying a predictor (the batcher's seq_len source). */
-TokenPredictor &
-first_predictor(const std::vector<EngineRung> &rungs)
+/**
+ * Validate the ladder and config; @return the shared seq_len of the
+ * predictor rungs (the batcher's window length).
+ * @throws std::invalid_argument on any constructor precondition.
+ */
+std::size_t
+checked_seq_len(const std::vector<EngineRung> &rungs,
+                const ServeConfig &cfg)
 {
-    for (const EngineRung &r : rungs)
-        if (r.predictor)
-            return *r.predictor;
-    assert(!"ladder has no predictor rung");
-    return *rungs.front().predictor;
+    const auto check = [](bool ok, const std::string &why) {
+        if (!ok)
+            throw std::invalid_argument("PrefetchServer: " + why);
+    };
+    check(cfg.max_batch > 0, "max_batch is 0");
+    const TokenPredictor *first = nullptr;
+    for (const EngineRung &r : rungs) {
+        check((r.predictor != nullptr) != (r.heuristic != nullptr),
+              "rung " + r.name + " needs one predictor or heuristic");
+        check(!first || !r.predictor ||
+                  r.predictor->seq_len() == first->seq_len(),
+              "rung " + r.name + " has a different seq_len");
+        first = first ? first : r.predictor;
+    }
+    check(first != nullptr, "ladder has no predictor rung");
+    return first->seq_len();
 }
 
 /** Is the request past its deadline at virtual time `now`? */
@@ -50,7 +67,7 @@ PrefetchServer::PrefetchServer(TokenPredictor &predictor,
 PrefetchServer::PrefetchServer(std::vector<EngineRung> rungs,
                                const ServeConfig &cfg)
     : rungs_(std::move(rungs)), cfg_(cfg),
-      batcher_(first_predictor(rungs_).seq_len()),
+      batcher_(checked_seq_len(rungs_, cfg)),
       queue_(cfg.queue_cap), monitor_(cfg.degrade),
       rung_responses_(rungs_.size(), 0),
       rung_deadline_miss_(rungs_.size(), 0),
@@ -59,15 +76,6 @@ PrefetchServer::PrefetchServer(std::vector<EngineRung> rungs,
       wait_ticks_hist_(0.0, kTickHistHi, kTickHistBuckets),
       deadline_slack_hist_(0.0, kTickHistHi, kTickHistBuckets)
 {
-    assert(cfg_.max_batch > 0);
-    assert(!rungs_.empty());
-#ifndef NDEBUG
-    for (const EngineRung &r : rungs_) {
-        assert((r.predictor != nullptr) != (r.heuristic != nullptr));
-        if (r.predictor)
-            assert(r.predictor->seq_len() == batcher_.seq_len());
-    }
-#endif
     if (rungs_[rung_].on_activate)
         rungs_[rung_].on_activate();
 }
@@ -256,20 +264,13 @@ PrefetchServer::dispatch_batch()
         if (rungs_[answer].heuristic) {
             resp.lines = std::move(heur_lines_[li]);
         } else if (have_preds) {
-            // The predict_on decode loop: over-fetched candidates in
-            // rank order, skip undecodable, dedup, stop at the
-            // tenant's degree.
-            for (const auto &p : preds[li]) {
-                if (resp.lines.size() >= r.degree)
-                    break;
-                const auto line = rungs_[answer].predictor->decode(
-                    p.page, p.offset, r.prev_line);
-                if (!line)
-                    continue;
-                if (std::find(resp.lines.begin(), resp.lines.end(),
-                              *line) == resp.lines.end())
-                    resp.lines.push_back(*line);
-            }
+            const TokenPredictor &pred = *rungs_[answer].predictor;
+            core::decode_candidates(
+                preds[li], r.degree,
+                [&](const core::TokenPrediction &p) {
+                    return pred.decode(p.page, p.offset, r.prev_line);
+                },
+                resp.lines);
         }
         n_lines_ += resp.lines.size();
         if (r.deadline_tick != 0) {

@@ -5,8 +5,9 @@
  * `max_batch` requests are pending (or on flush) the micro-batcher
  * packs them into one VoyagerBatch, the predictor runs a single
  * batched forward, and the dispatcher decodes per-row candidates back
- * to line addresses — the exact loop VoyagerAdapter::predict_on runs
- * per stream — routing each response to its issuing tenant.
+ * to line addresses through core::decode_candidates (core/decode.hpp,
+ * the loop VoyagerAdapter::predict_on shares), routing each response
+ * to its issuing tenant.
  *
  * Latency is measured in virtual ticks (1 tick = 1 submit) so the
  * `serve.*` histograms are bit-identical across reruns; wall-clock
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/decode.hpp"
 #include "core/model.hpp"
 #include "serve/batcher.hpp"
 #include "serve/degrade.hpp"
@@ -64,9 +66,9 @@ struct ServeConfig
 {
     /** Dispatch as soon as this many requests are pending. */
     std::size_t max_batch = 8;
-    /** Extra candidates fetched per request so OOV/duplicate decodes
-     *  can be skipped; 2 matches VoyagerAdapter::predict_on. */
-    std::uint32_t over_fetch = 2;
+    /** Extra candidates fetched per request: core::kDecodeOverFetch,
+     *  the one over-fetch every decode path shares. Not settable. */
+    static constexpr std::uint32_t over_fetch = core::kDecodeOverFetch;
     /** Queue bound (0 = unbounded). The default holds 32 max_batch
      *  batches of default size — far above the clean high-water mark
      *  (max_batch), so it only binds under stalls or floods. */
@@ -94,9 +96,13 @@ class PrefetchServer
     /**
      * Ladder server: rung 0 is the full-quality engine, later rungs
      * are progressively cheaper fallbacks; the last rung may be a
-     * HeuristicEngine. At least one rung must carry a predictor, and
-     * every predictor rung must share rung 0's seq_len. Rung 0's
-     * on_activate hook runs here. All rung targets are borrowed.
+     * HeuristicEngine. Rung 0's on_activate hook runs here. All rung
+     * targets are borrowed.
+     *
+     * @throws std::invalid_argument if `cfg.max_batch` is 0, the
+     *         ladder is empty or has no predictor rung, a rung carries
+     *         both a predictor and a heuristic (or neither), or the
+     *         predictor rungs disagree on seq_len.
      */
     PrefetchServer(std::vector<EngineRung> rungs,
                    const ServeConfig &cfg = {});

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decode.hpp"
 #include "core/tabular.hpp"
 #include "core/vocab.hpp"
 #include "serve/client.hpp"
@@ -72,7 +73,7 @@ run_distill_tiny()
     const auto enc = core::encode_stream(stream, vocab);
     constexpr std::size_t kSeqLen = 4;
     constexpr std::uint32_t kDegree = 2;
-    constexpr std::size_t kTeachK = kDegree + 2;
+    constexpr std::size_t kTeachK = kDegree + core::kDecodeOverFetch;
 
     std::vector<std::size_t> indices(enc.size() - (kSeqLen - 1));
     std::iota(indices.begin(), indices.end(), kSeqLen - 1);

@@ -8,8 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/compress.hpp"
-#include "core/distilled.hpp"
+#include "core/decode.hpp"
 #include "core/metrics.hpp"
+#include "core/tabular.hpp"
 #include "core/trainer.hpp"
 #include "prefetch/registry.hpp"
 #include "prefetch/stms.hpp"
@@ -186,11 +187,12 @@ TEST(Integration, CompressionPreservesPredictions)
               0.6);
 }
 
-TEST(Integration, DistilledPrefetcherTracksNeuralSource)
+TEST(Integration, TabularPrefetcherTracksNeuralSource)
 {
-    // Train Voyager, distill its predictions into the table
-    // prefetcher, and verify the table reproduces the neural
-    // predictions on the same stream (paper §5.5's practical route).
+    // Train Voyager, distill its token candidates over the predicted
+    // epochs into the serving tables, and verify the table prefetcher
+    // reproduces the neural predictions on the same stream (paper
+    // §5.5's practical route).
     const auto t = trace::gen::make_workload("pr", Scale::Tiny, 6);
     const auto cfg = sim::tiny_sim_config();
     const auto stream = extract_llc_stream(t, cfg);
@@ -202,26 +204,40 @@ TEST(Integration, DistilledPrefetcherTracksNeuralSource)
     ocfg.max_train_samples_per_epoch = 1500;
     const auto res = train_online(voyager, stream.size(), ocfg);
 
-    auto distilled =
-        core::DistilledPrefetcher::distill(stream, res.predictions, {});
-    EXPECT_GT(distilled.table_entries(), 10u);
+    std::vector<std::size_t> indices;
+    for (std::size_t i = std::max(res.first_predicted_index,
+                                  voyager.min_index());
+         i < stream.size(); ++i)
+        indices.push_back(i);
+    core::TabularConfig tcfg;
+    tcfg.degree = ocfg.degree;
+    const std::size_t seq_len = small_voyager().seq_len;
+    const auto table = core::distill_to_table(
+        voyager.encoded(), indices,
+        voyager.predict_token_candidates(
+            indices, tcfg.degree + core::kDecodeOverFetch),
+        seq_len, tcfg);
+    EXPECT_GT(table.l1_entries(), 10u);
 
-    // Replay both through the metric machinery: the distilled table
+    // Replay both through the metric machinery: the table prefetcher
     // should recover a meaningful share of the neural predictions.
+    core::TabularPrefetcher tabular(table, voyager.vocab(), seq_len,
+                                    ocfg.degree);
     const auto table_preds =
-        core::run_prefetcher_on_stream(distilled, stream);
+        core::run_prefetcher_on_stream(tabular, stream);
     const auto neural = unified_accuracy_coverage(
         stream, res.predictions, res.first_predicted_index);
-    const auto table = unified_accuracy_coverage(
+    const auto replayed = unified_accuracy_coverage(
         stream, table_preds, res.first_predicted_index);
-    if (neural.value() > 0.05)
-        EXPECT_GT(table.value(), neural.value() * 0.3);
+    if (neural.value() > 0.05) {
+        EXPECT_GT(replayed.value(), neural.value() * 0.3);
+    }
 
     // And it is simulator-compatible.
-    auto fresh =
-        core::DistilledPrefetcher::distill(stream, res.predictions, {});
+    core::TabularPrefetcher fresh(table, voyager.vocab(), seq_len,
+                                  ocfg.degree);
     const auto r = simulate(t, cfg, fresh);
-    EXPECT_EQ(r.prefetcher_name, "voyager_distilled");
+    EXPECT_EQ(r.prefetcher_name, "voyager_tabular");
 }
 
 TEST(Integration, StorageComparisonVoyagerVsTemporal)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the §5.5 "paths to practicality" explorations: the
- * hierarchical softmax head and the distilled table prefetcher.
+ * Tests for the §5.5 "paths to practicality" hierarchical softmax
+ * head. The distilled table prefetcher is core::TabularPrefetcher,
+ * tested with its tables in tabular_test.cpp.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/distilled.hpp"
 #include "nn/adam.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/hierarchical_softmax.hpp"
@@ -119,93 +119,6 @@ TEST(HierSoftmax, BeamSearchApproximatesFull)
         EXPECT_LT(cls, 36);
         EXPECT_GT(p, 0.0f);
     }
-}
-
-sim::LlcAccess
-acc(Addr pc, Addr line, std::uint64_t index)
-{
-    sim::LlcAccess a;
-    a.index = index;
-    a.pc = pc;
-    a.line = line;
-    a.is_load = true;
-    return a;
-}
-
-TEST(Distilled, ReplaysMajorityVote)
-{
-    // Context (prev=1, line=2, pc=7) predicted 100 twice, 200 once.
-    std::vector<sim::LlcAccess> s = {
-        acc(7, 1, 0), acc(7, 2, 1), acc(7, 1, 2), acc(7, 2, 3),
-        acc(7, 1, 4), acc(7, 2, 5),
-    };
-    std::vector<std::vector<Addr>> preds = {{}, {100}, {}, {100},
-                                            {}, {200}};
-    auto pf = core::DistilledPrefetcher::distill(s, preds, {});
-    EXPECT_GE(pf.table_entries(), 1u);
-    // Replay the context.
-    pf.on_access(acc(7, 1, 10));
-    const auto out = pf.on_access(acc(7, 2, 11));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], 100u);
-}
-
-TEST(Distilled, UnknownContextSilent)
-{
-    std::vector<sim::LlcAccess> s = {acc(1, 1, 0), acc(1, 2, 1)};
-    std::vector<std::vector<Addr>> preds = {{}, {50}};
-    auto pf = core::DistilledPrefetcher::distill(s, preds, {});
-    pf.on_access(acc(9, 77, 0));
-    EXPECT_TRUE(pf.on_access(acc(9, 78, 1)).empty());
-}
-
-TEST(Distilled, DegreeKeepsTopVotes)
-{
-    core::DistillConfig cfg;
-    cfg.degree = 2;
-    std::vector<sim::LlcAccess> s;
-    std::vector<std::vector<Addr>> preds;
-    for (int i = 0; i < 6; ++i) {
-        s.push_back(acc(3, 10, 2 * i));
-        s.push_back(acc(3, 20, 2 * i + 1));
-        preds.push_back({});
-        // 300 voted 6x, 400 voted 3x, 500 voted 2x.
-        std::vector<Addr> v = {300};
-        if (i % 2 == 0)
-            v.push_back(400);
-        if (i % 3 == 0)
-            v.push_back(500);
-        preds.push_back(v);
-    }
-    auto pf = core::DistilledPrefetcher::distill(s, preds, cfg);
-    pf.on_access(acc(3, 10, 100));
-    const auto out = pf.on_access(acc(3, 20, 101));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], 300u);
-    EXPECT_EQ(out[1], 400u);
-}
-
-TEST(Distilled, EntryBudgetRespected)
-{
-    core::DistillConfig cfg;
-    cfg.max_entries = 4;
-    std::vector<sim::LlcAccess> s;
-    std::vector<std::vector<Addr>> preds;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        s.push_back(acc(1, 1000 + i, i));
-        preds.push_back({2000 + i});
-    }
-    auto pf = core::DistilledPrefetcher::distill(s, preds, cfg);
-    EXPECT_LE(pf.table_entries(), 4u);
-    EXPECT_GT(pf.storage_bytes(), 0u);
-}
-
-TEST(Distilled, StorageAccountsEntries)
-{
-    std::vector<sim::LlcAccess> s = {acc(1, 1, 0), acc(1, 2, 1)};
-    std::vector<std::vector<Addr>> preds = {{}, {50}};
-    auto pf = core::DistilledPrefetcher::distill(s, preds, {});
-    EXPECT_EQ(pf.storage_bytes(), 16u);  // one entry: tag + one line
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -229,8 +230,8 @@ TEST(PrefetchServerTest, DegreeAndDedupMatchThePredictOnLoop)
     ServeConfig sc;
     sc.max_batch = 1;
     PrefetchServer server(pred, sc);
-    // degree=3 with over_fetch=2 fetches 5 candidates; the stub's
-    // lines are distinct per rank, so exactly 3 come back.
+    // degree=3 plus core::kDecodeOverFetch fetches 5 candidates; the
+    // stub's lines are distinct per rank, so exactly 3 come back.
     server.submit(make_request(1, 0, 2, 8, 0xABC, /*degree=*/3));
     auto ready = server.take_ready();
     ASSERT_EQ(ready.size(), 1u);
@@ -238,6 +239,46 @@ TEST(PrefetchServerTest, DegreeAndDedupMatchThePredictOnLoop)
     for (std::int32_t j = 0; j < 3; ++j)
         EXPECT_EQ(ready[0].lines[j],
                   StubPredictor::expected_line(8, j, 0xABC));
+}
+
+TEST(PrefetchServerTest, ConstructorRejectsInvalidLadders)
+{
+    StubPredictor p4(4);
+    StubPredictor other_p4(4);
+    StubPredictor p8(8);
+    serve::HeuristicEngine heur;
+    ServeConfig zero_batch;
+    zero_batch.max_batch = 0;
+    const struct
+    {
+        const char *what;
+        std::vector<serve::EngineRung> rungs;
+        ServeConfig cfg;
+    } cases[] = {
+        {"max_batch 0", {{"a", &p4, nullptr, {}}}, zero_batch},
+        {"empty ladder", {}, {}},
+        {"no predictor rung", {{"h", nullptr, &heur, {}}}, {}},
+        {"rung with both",
+         {{"a", &p4, nullptr, {}}, {"b", &other_p4, &heur, {}}},
+         {}},
+        {"rung with neither",
+         {{"a", &p4, nullptr, {}}, {"b", nullptr, nullptr, {}}},
+         {}},
+        {"seq_len mismatch",
+         {{"a", &p4, nullptr, {}}, {"b", &p8, nullptr, {}}},
+         {}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        EXPECT_THROW(PrefetchServer(c.rungs, c.cfg),
+                     std::invalid_argument);
+    }
+    EXPECT_THROW(PrefetchServer(p4, zero_batch), std::invalid_argument);
+    // The valid ladder built from the same pieces constructs.
+    EXPECT_NO_THROW(PrefetchServer(
+        std::vector<serve::EngineRung>{{"a", &p4, nullptr, {}},
+                                       {"b", &other_p4, nullptr, {}},
+                                       {"h", nullptr, &heur, {}}}));
 }
 
 TEST(PrefetchServerTest, ExportsClosedServeNamespace)

@@ -154,4 +154,19 @@ rm -f "$distill_out"
     --distill_train_samples=150 --max_samples=150 \
     --distill_budgets=16384 --distill_backoffs=1 >/dev/null
 
+# Section 5.5 table prefetcher: fig17 distills into the serving tables.
+echo "== bench_fig17_overhead smoke (tiny pr) =="
+fig17_out=$(mktemp /tmp/voyager_fig17.XXXXXX.json)
+./build/bench/bench_fig17_overhead --scale=tiny --benchmarks=pr \
+    --stats_json="$fig17_out" >/dev/null
+python3 tools/check_stats_schema.py "$fig17_out"
+grep -q '"fig17.pr.distilled_table_bytes"' "$fig17_out"
+rm -f "$fig17_out"
+
+echo "== bench_serve --serve_batches=0 fails fast (124: timed out) =="
+rc=0
+timeout 60 ./build/bench/bench_serve --scale=tiny --serve_batches=0 \
+    >/dev/null 2>&1 || rc=$?
+[ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || exit 1
+
 echo "all gates passed"
