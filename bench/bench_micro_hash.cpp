@@ -149,21 +149,21 @@ run_sweep(const std::string &dist,
             FlatHashMap<std::uint64_t, std::uint64_t> m;
             for (std::size_t i = 0; i < n; ++i)
                 m.emplace(keys[i], i);
-            g_sink += m.size();
+            g_sink = g_sink + m.size();
             flat = std::move(m);
         }));
         std_ins.push_back(time_once([&] {
             std::unordered_map<std::uint64_t, std::uint64_t> m;
             for (std::size_t i = 0; i < n; ++i)
                 m.emplace(keys[i], i);
-            g_sink += m.size();
+            g_sink = g_sink + m.size();
             ref = std::move(m);
         }));
         flat_hit_serial.push_back(time_once([&] {
             std::uint64_t acc = 0;
             for (const auto k : probes)
                 acc += flat.find(k)->second;
-            g_sink += acc;
+            g_sink = g_sink + acc;
         }));
         flat_hit.push_back(time_once([&] {
             std::uint64_t acc = 0;
@@ -185,13 +185,13 @@ run_sweep(const std::string &dist,
                 acc += flat.find_hashed(probes[i],
                                         hash_ring[i & kRingMask])
                            ->second;
-            g_sink += acc;
+            g_sink = g_sink + acc;
         }));
         std_hit.push_back(time_once([&] {
             std::uint64_t acc = 0;
             for (const auto k : probes)
                 acc += ref.find(k)->second;
-            g_sink += acc;
+            g_sink = g_sink + acc;
         }));
         flat_miss.push_back(time_once([&] {
             std::uint64_t acc = 0;
@@ -212,13 +212,13 @@ run_sweep(const std::string &dist,
             for (; i < sz; ++i)
                 acc += flat.contains_hashed(misses[i],
                                             hash_ring[i & kRingMask]);
-            g_sink += acc;
+            g_sink = g_sink + acc;
         }));
         std_miss.push_back(time_once([&] {
             std::uint64_t acc = 0;
             for (const auto k : misses)
                 acc += ref.count(k);
-            g_sink += acc;
+            g_sink = g_sink + acc;
         }));
     }
 

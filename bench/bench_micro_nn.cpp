@@ -6,6 +6,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -241,6 +242,43 @@ BM_LstmBackward(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch * T);
 }
 BENCHMARK(BM_LstmBackward)->Arg(32)->Arg(64);
+
+// One fused gate pass over a (rows, 4*hidden) gate matrix at the
+// serving shape (max_batch 8, hidden 64): the vectorised kernel vs
+// its libm reference. Each iteration restores the pre-activations
+// (the pass overwrites them), in both twins alike. items/s is gate
+// elements (rows * hidden).
+template <void (*Gate)(float *, const float *, const float *, float *,
+                       float *, std::size_t)>
+void
+BM_LstmGateRowShaped(benchmark::State &state)
+{
+    const std::size_t rows = 8;
+    const std::size_t hidden = 64;
+    Rng rng(5);
+    Matrix pre(rows, 4 * hidden);
+    Matrix bias(1, 4 * hidden);
+    Matrix c_prev(rows, hidden);
+    nn::uniform_init(pre, 4.0f, rng);
+    nn::uniform_init(bias, 1.0f, rng);
+    nn::uniform_init(c_prev, 1.0f, rng);
+    Matrix z = pre;
+    Matrix c(rows, hidden);
+    Matrix h(rows, hidden);
+    for (auto _ : state) {
+        std::copy(pre.data(), pre.data() + pre.size(), z.data());
+        for (std::size_t r = 0; r < rows; ++r)
+            Gate(z.row(r), bias.data(), c_prev.row(r), c.row(r),
+                 h.row(r), hidden);
+        benchmark::DoNotOptimize(h.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows * hidden);
+}
+BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row>)
+    ->Name("BM_LstmGateRow");
+BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row_ref>)
+    ->Name("BM_LstmGateRowRef");
 
 void
 BM_MoeAttention(benchmark::State &state)

@@ -25,6 +25,18 @@ label_scheme_name(LabelScheme s)
     return "?";
 }
 
+std::vector<LabelScheme>
+all_label_schemes()
+{
+    // A loop, not an initializer list: GCC 12 misreports the inlined
+    // copy of a 5-byte enum initializer list as uninitialized
+    // (-Wmaybe-uninitialized) wherever VoyagerConfig is built.
+    std::vector<LabelScheme> out;
+    for (std::size_t s = 0; s < kNumLabelSchemes; ++s)
+        out.push_back(static_cast<LabelScheme>(s));
+    return out;
+}
+
 std::vector<LabelSet>
 compute_labels(const std::vector<LlcAccess> &stream,
                const LabelerConfig &cfg)

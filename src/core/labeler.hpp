@@ -41,6 +41,9 @@ inline constexpr std::size_t kNumLabelSchemes = 5;
 /** Human-readable scheme name. */
 std::string label_scheme_name(LabelScheme s);
 
+/** Every scheme, in enum order. */
+std::vector<LabelScheme> all_label_schemes();
+
 /** Labeler parameters. */
 struct LabelerConfig
 {

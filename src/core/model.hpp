@@ -62,10 +62,7 @@ struct VoyagerConfig
      *  positive-vs-vocabulary-of-negatives imbalance). */
     float bce_pos_weight = 20.0f;
     /** Labeling schemes supplying training labels (§4.4). */
-    std::vector<LabelScheme> schemes = {
-        LabelScheme::Global, LabelScheme::Pc, LabelScheme::BasicBlock,
-        LabelScheme::Spatial, LabelScheme::CoOccurrence,
-    };
+    std::vector<LabelScheme> schemes = all_label_schemes();
     std::uint64_t seed = 42;
 
     /** Offset-embedding width (the paper's 25600 = 256 x 100). */

@@ -1,41 +1,12 @@
 #include "nn/lstm.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
 
 namespace voyager::nn {
-
-namespace {
-
-/**
- * Fused per-row gate pass shared by forward() and
- * forward_inference() so the two stay bit-identical: bias add +
- * activations + cell/hidden update in one sweep over a row of z.
- * `cp == nullptr` means c_{-1} = 0 (the t = 0 step).
- */
-inline void
-lstm_gate_row(float *zr, const float *bias, const float *cp, float *cr,
-              float *hr, std::size_t h)
-{
-    for (std::size_t j = 0; j < h; ++j) {
-        float &gi = zr[j];
-        float &gf = zr[h + j];
-        float &gg = zr[2 * h + j];
-        float &go = zr[3 * h + j];
-        gi = 1.0f / (1.0f + std::exp(-(gi + bias[j])));
-        gf = 1.0f / (1.0f + std::exp(-(gf + bias[h + j])));
-        gg = std::tanh(gg + bias[2 * h + j]);
-        go = 1.0f / (1.0f + std::exp(-(go + bias[3 * h + j])));
-        cr[j] = gi * gg + (cp ? gf * cp[j] : 0.0f);
-        hr[j] = go * std::tanh(cr[j]);
-    }
-}
-
-}  // namespace
 
 Lstm::Lstm(std::size_t in_dim, std::size_t hidden, Rng &rng)
     : wx_(in_dim, 4 * hidden), wh_(hidden, 4 * hidden), b_(1, 4 * hidden)
@@ -78,8 +49,9 @@ Lstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
 
         cs_[t].resize(batch, h);
         hs_[t].resize(batch, h);
-        // Fused gate pass (c_{-1} = 0 at t = 0; previous states are
-        // read in place, not copied per step).
+        // Fused gate pass, shared with forward_inference() so the
+        // two stay bit-identical (c_{-1} = 0 at t = 0; previous
+        // states are read in place, not copied per step).
         ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
         for (std::size_t r = 0; r < batch; ++r) {
             lstm_gate_row(z.row(r), bias,
@@ -146,6 +118,7 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
     Matrix dh = dh_last;
     Matrix dc(batch, h);
     Matrix dz(batch, 4 * h);
+    Matrix tanh_c;
 
     for (std::size_t t = T; t-- > 0;) {
         const Matrix &gates = gates_[t];
@@ -154,9 +127,13 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
 
         {
             ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
+            // tanh(c_t) with the forward kernel's tanh, so this is the
+            // gradient of the function forward() computed.
+            tanh_c = c;
+            tanh_inplace(tanh_c);
             for (std::size_t r = 0; r < batch; ++r) {
                 const float *zr = gates.row(r);
-                const float *cr = c.row(r);
+                const float *tcr = tanh_c.row(r);
                 const float *cpr = c_prev ? c_prev->row(r) : nullptr;
                 const float *dhr = dh.row(r);
                 float *dcr = dc.row(r);
@@ -166,7 +143,7 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
                     const float gf = zr[h + j];
                     const float gg = zr[2 * h + j];
                     const float go = zr[3 * h + j];
-                    const float tc = std::tanh(cr[j]);
+                    const float tc = tcr[j];
                     const float d_h = dhr[j];
                     const float d_o = d_h * tc;
                     float d_c = dcr[j] + d_h * go * (1.0f - tc * tc);

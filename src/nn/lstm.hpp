@@ -47,9 +47,9 @@ class Lstm
      * a rotating (cell, hidden) pair survives each step, so serving
      * keeps O(batch x hidden) state regardless of sequence length.
      * Bit-identical to forward() — both paths issue the same GEMMs
-     * and share the fused gate-pass helper — but it invalidates the
-     * training caches: backward() must not be called until the next
-     * forward().
+     * and run the same gate kernel (nn::lstm_gate_row) — but it
+     * invalidates the training caches: backward() must not be called
+     * until the next forward().
      */
     void forward_inference(const std::vector<Matrix> &xs,
                            Matrix &h_last);

@@ -1,5 +1,6 @@
 #include "nn/ops.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -152,8 +153,6 @@ pack_b_tile(const Matrix &b, bool trans, std::size_t j0,
     }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-
 /** 16-float vector; aligned(4) legalises unaligned loads/stores. */
 using vfloat
     = float __attribute__((vector_size(64), aligned(4), may_alias));
@@ -199,30 +198,6 @@ micro_kernel(std::size_t k, const float *__restrict ap,
         }
     }
 }
-
-#else  // fallback for compilers without vector extensions
-
-void
-micro_kernel(std::size_t k, const float *ap, std::size_t astride,
-             const float *bp, std::size_t bstride, float *c,
-             std::size_t ldc, std::size_t mrem, std::size_t nrem)
-{
-    float acc[MR][NR] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *arow = ap + p * astride;
-        const float *brow = bp + p * bstride;
-        for (std::size_t i = 0; i < MR; ++i)
-            for (std::size_t j = 0; j < NR; ++j)
-                acc[i][j] += arow[i] * brow[j];
-    }
-    for (std::size_t i = 0; i < mrem; ++i) {
-        float *crow = c + i * ldc;
-        for (std::size_t j = 0; j < nrem; ++j)
-            crow[j] += acc[i][j];
-    }
-}
-
-#endif
 
 /**
  * Shared driver: C += op(A) * op(B). Operands whose memory layout
@@ -483,12 +458,211 @@ sigmoid_inplace(Matrix &m)
         d[i] = 1.0f / (1.0f + std::exp(-d[i]));
 }
 
+namespace {
+
+// ---------------------------------------------------------------------
+// Vectorised LSTM gate activations.
+//
+// sigmoid and tanh evaluated VL lanes at a time on the GEMM tile's
+// vfloat type; libm's scalar exp/tanh do not vectorise. The helpers
+// work in place on a vector reference because passing a 64-byte
+// vector by value changes the ABI between -march targets (-Wpsabi).
+// Absolute error against a double-precision reference is <= 2e-7
+// (about 9e-8 measured over [-40, 40], as for libm's float path); NaN
+// propagates and +-inf saturate to the exact limits.
+// ---------------------------------------------------------------------
+
+inline const vfloat &
+vload(const float *p)
+{
+    return *reinterpret_cast<const vfloat *>(p);
+}
+
+inline vfloat &
+vref(float *p)
+{
+    return *reinterpret_cast<vfloat *>(p);
+}
+
+using vuint = std::uint32_t __attribute__((vector_size(64)));
+
+/**
+ * e^x in place (Cephes expf): x = n ln2 + r with n = round(x / ln2)
+ * and |r| <= ln2 / 2 (Cody-Waite: ln2 split in two so n * ln2_hi is
+ * exact), e^r from a degree-7 polynomial, then a multiply by 2^n
+ * built from exponent bits. Inputs are clamped so n stays in
+ * [-126, 128]: below -126 ln2 the result stays at about FLT_MIN, and
+ * from 127.5 ln2 up n = 128 makes 2^n and the result +inf. A NaN
+ * input survives the clamp (its comparisons are false) and the final
+ * multiply.
+ */
+inline void
+vexp(vfloat &x)
+{
+    const vfloat hi = vfloat{} + 88.72283935546875f;  // ~ln(FLT_MAX)
+    const vfloat lo = vfloat{} - 87.33654475f;         // -126 ln2
+    x = x > hi ? hi : x;
+    x = x < lo ? lo : x;
+    // Adding 1.5 * 2^23 rounds x / ln2 to the integer n, which then
+    // sits in the low mantissa bits of `shifted`.
+    const vfloat shifted = x * 1.44269504088896341f + 12582912.0f;
+    const vfloat n = shifted - 12582912.0f;
+    const vfloat r = x - n * 0.693359375f - n * -2.12194440e-4f;
+    vfloat p = vfloat{} + 1.9875691500e-4f;
+    p = p * r + 1.3981999507e-3f;
+    p = p * r + 8.3334519073e-3f;
+    p = p * r + 4.1665795894e-2f;
+    p = p * r + 1.6666665459e-1f;
+    p = p * r + 5.0000001201e-1f;
+    p = p * (r * r) + r + 1.0f;
+    // Exponent field n + 127 (1..255; 255 is +inf).
+    x = p * (vfloat)(((vuint)shifted + 127u) << 23);
+}
+
+/** Logistic sigmoid in place: 1 / (1 + e^-x). */
+inline void
+vsigmoid(vfloat &x)
+{
+    x = -x;
+    vexp(x);
+    x = 1.0f / (1.0f + x);
+}
+
+/**
+ * tanh in place. |x| < 0.625: the Cephes tanhf odd polynomial
+ * x + x^3 P(x^2). Beyond: 1 - 2 / (e^{2|x|} + 1) with the sign
+ * restored. (2 sigmoid(2x) - 1 cancels badly near 0 and costs the
+ * LSTM gradient checks their tolerance.)
+ */
+inline void
+vtanh(vfloat &x)
+{
+    const vfloat zero = {};
+    const vfloat ax = x < zero ? -x : x;
+    const vfloat z = x * x;
+    vfloat p = zero - 5.70498872745e-3f;
+    p = p * z + 2.06390887954e-2f;
+    p = p * z - 5.37397155531e-2f;
+    p = p * z + 1.33314422036e-1f;
+    p = p * z - 3.33332819422e-1f;
+    const vfloat small = p * z * x + x;
+    vfloat e = ax + ax;
+    vexp(e);
+    const vfloat t = 1.0f - 2.0f / (e + 1.0f);
+    const vfloat large = x < zero ? -t : t;
+    x = ax < 0.625f ? small : large;
+}
+
+/**
+ * Copy n < VL floats into a VL-float block whose other lanes the
+ * caller has zeroed. The last, partial block of a row runs through
+ * the same vector code as full blocks on such copies, so a value
+ * gives the same bits in every lane.
+ */
+inline float *
+stage(float *blk, const float *src, std::size_t n)
+{
+    std::copy(src, src + n, blk);
+    return blk;
+}
+
+}  // namespace
+
 void
 tanh_inplace(Matrix &m)
 {
     float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        d[i] = std::tanh(d[i]);
+    const std::size_t size = m.size();
+    float blk[VL] = {};
+    for (std::size_t j = 0; j < size; j += VL) {
+        const std::size_t n = std::min(VL, size - j);
+        float *x = n == VL ? d + j : stage(blk, d + j, n);
+        vtanh(vref(x));
+        if (n < VL)
+            std::copy(blk, blk + n, d + j);
+    }
+}
+
+void
+lstm_gate_row(float *z, const float *bias, const float *c_prev,
+              float *c, float *h, std::size_t hidden)
+{
+    enum { I, F, G, O };  // gate order within a row of z
+    // Zero-padded copies for the last, partial block.
+    float gate_blk[4][VL] = {};
+    float bias_blk[4][VL] = {};
+    float cp_blk[VL] = {};
+    float c_blk[VL] = {};
+    float h_blk[VL] = {};
+    for (std::size_t j = 0; j < hidden; j += VL) {
+        const std::size_t n = std::min(VL, hidden - j);
+        float *gate[4];
+        const float *b[4];
+        for (std::size_t k = 0; k < 4; ++k) {
+            gate[k] = z + k * hidden + j;
+            b[k] = bias + k * hidden + j;
+        }
+        const float *cp = c_prev ? c_prev + j : nullptr;
+        float *cr = c + j;
+        float *hr = h + j;
+        if (n < VL) {
+            for (std::size_t k = 0; k < 4; ++k) {
+                gate[k] = stage(gate_blk[k], gate[k], n);
+                b[k] = stage(bias_blk[k], b[k], n);
+            }
+            if (cp)
+                cp = stage(cp_blk, cp, n);
+            cr = c_blk;
+            hr = h_blk;
+        }
+
+        vfloat gi = vload(gate[I]) + vload(b[I]);
+        vfloat gf = vload(gate[F]) + vload(b[F]);
+        vfloat gg = vload(gate[G]) + vload(b[G]);
+        vfloat go = vload(gate[O]) + vload(b[O]);
+        vsigmoid(gi);
+        vsigmoid(gf);
+        vtanh(gg);
+        vsigmoid(go);
+        vfloat cv = gi * gg;
+        if (cp)
+            cv += gf * vload(cp);
+        vfloat th = cv;
+        vtanh(th);
+        vref(gate[I]) = gi;
+        vref(gate[F]) = gf;
+        vref(gate[G]) = gg;
+        vref(gate[O]) = go;
+        vref(cr) = cv;
+        vref(hr) = go * th;
+
+        if (n < VL) {
+            for (std::size_t k = 0; k < 4; ++k)
+                std::copy(gate_blk[k], gate_blk[k] + n,
+                          z + k * hidden + j);
+            std::copy(c_blk, c_blk + n, c + j);
+            std::copy(h_blk, h_blk + n, h + j);
+        }
+    }
+}
+
+void
+lstm_gate_row_ref(float *z, const float *bias, const float *c_prev,
+                  float *c, float *h, std::size_t hidden)
+{
+    const std::size_t n = hidden;
+    for (std::size_t j = 0; j < n; ++j) {
+        float &gi = z[j];
+        float &gf = z[n + j];
+        float &gg = z[2 * n + j];
+        float &go = z[3 * n + j];
+        gi = 1.0f / (1.0f + std::exp(-(gi + bias[j])));
+        gf = 1.0f / (1.0f + std::exp(-(gf + bias[n + j])));
+        gg = std::tanh(gg + bias[2 * n + j]);
+        go = 1.0f / (1.0f + std::exp(-(go + bias[3 * n + j])));
+        c[j] = gi * gg + (c_prev ? gf * c_prev[j] : 0.0f);
+        h[j] = go * std::tanh(c[j]);
+    }
 }
 
 void

@@ -17,7 +17,8 @@
  * The `gemm_*` entry points run a packed, register-blocked microkernel
  * (single-core, auto-vectorised); the `gemm_*_ref` functions keep the
  * seed's naive loops as a slow, independently-written reference for
- * equivalence tests and speedup baselines.
+ * equivalence tests and speedup baselines. `lstm_gate_row` and its
+ * libm reference `lstm_gate_row_ref` follow the same convention.
  */
 #pragma once
 
@@ -121,8 +122,31 @@ void softmax_rows(Matrix &m);
 /** Elementwise logistic sigmoid in place. */
 void sigmoid_inplace(Matrix &m);
 
-/** Elementwise tanh in place. */
+/** Elementwise tanh in place: the LSTM gate kernel's tanh. */
 void tanh_inplace(Matrix &m);
+
+/**
+ * Fused LSTM gate pass over one batch row (gate order i, f, g, o).
+ * Adds `bias` (4 * hidden) to the pre-activations in `z`
+ * (4 * hidden), replaces them in place with their activations
+ * (sigmoid, sigmoid, tanh, sigmoid), then writes the cell state
+ * c = i * g + f * c_prev and the hidden state h = o * tanh(c).
+ * `c_prev == nullptr` means c_{-1} = 0 (the t = 0 step).
+ *
+ * Vectorised 16 lanes at a time, the last partial block on a
+ * zero-padded copy, so a value gives the same bits in every column.
+ * sigmoid and tanh are polynomial approximations with absolute error
+ * <= 2e-7; NaN propagates and +-inf saturate. Lstm::forward,
+ * Lstm::forward_inference and QuantizedLstm::forward all run this
+ * one kernel.
+ */
+void lstm_gate_row(float *z, const float *bias, const float *c_prev,
+                   float *c, float *h, std::size_t hidden);
+
+/** Seed-era libm gate loop (same contract); reference for tests and
+ *  benchmarks. */
+void lstm_gate_row_ref(float *z, const float *bias, const float *c_prev,
+                       float *c, float *h, std::size_t hidden);
 
 /** Elementwise product: y = a ⊙ b. */
 void hadamard(const Matrix &a, const Matrix &b, Matrix &y);

@@ -1,7 +1,6 @@
 #include "nn/qlayers.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 #include "nn/ops.hpp"
@@ -119,25 +118,13 @@ QuantizedLstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
         }
 
         c_cur_.resize_uninit(batch, h);
-        // fp32 tail: identical fused gate pass to Lstm::forward.
+        // fp32 tail: the same fused gate kernel as Lstm::forward;
+        // h_prev_ is overwritten with h_t.
         ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
         for (std::size_t r = 0; r < batch; ++r) {
-            float *zr = z_.row(r);
-            const float *cp = t > 0 ? c_prev_.row(r) : nullptr;
-            float *cr = c_cur_.row(r);
-            float *hr = h_prev_.row(r);  // overwritten to h_t
-            for (std::size_t j = 0; j < h; ++j) {
-                float &gi = zr[j];
-                float &gf = zr[h + j];
-                float &gg = zr[2 * h + j];
-                float &go = zr[3 * h + j];
-                gi = 1.0f / (1.0f + std::exp(-(gi + bias[j])));
-                gf = 1.0f / (1.0f + std::exp(-(gf + bias[h + j])));
-                gg = std::tanh(gg + bias[2 * h + j]);
-                go = 1.0f / (1.0f + std::exp(-(go + bias[3 * h + j])));
-                cr[j] = gi * gg + (cp ? gf * cp[j] : 0.0f);
-                hr[j] = go * std::tanh(cr[j]);
-            }
+            lstm_gate_row(z_.row(r), bias,
+                          t > 0 ? c_prev_.row(r) : nullptr,
+                          c_cur_.row(r), h_prev_.row(r), h);
         }
         std::swap(c_prev_, c_cur_);
     }

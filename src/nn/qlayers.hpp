@@ -72,9 +72,9 @@ class QuantizedLinear
  * quantization is itself quantized on a ~255x finer per-row grid and
  * accumulated by a second qgemm, giving ~16 effective activation
  * bits from pure int8 kernels on the concatenated (heterogeneous)
- * input rows. The fused gate pass (bias + sigmoid/tanh + cell
- * update) is the fp32 tail and charges the same `nn.lstm_gate` op
- * class as the trainable LSTM.
+ * input rows. The fp32 tail is the trainable LSTM's own gate kernel
+ * (nn::lstm_gate_row: bias + sigmoid/tanh + cell update), charged to
+ * the same `nn.lstm_gate` op class.
  */
 class QuantizedLstm
 {

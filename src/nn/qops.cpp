@@ -74,8 +74,10 @@ requant_zmm(__m512i acc, std::int32_t za, float sa, __m512i rs,
     const __m512i corr =
         _mm512_mullo_epi32(_mm512_set1_epi32(za), rs);
     const __m512 scale = _mm512_mul_ps(_mm512_set1_ps(sa), sw);
+    // Zero-masked convert: the unmasked intrinsic's undefined
+    // pass-through operand trips GCC 12's -Wmaybe-uninitialized.
     const __m512 f =
-        _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, corr));
+        _mm512_maskz_cvtepi32_ps(mask, _mm512_sub_epi32(acc, corr));
     const __m512 cv = _mm512_maskz_loadu_ps(mask, cptr);
     _mm512_mask_storeu_ps(cptr, mask,
                           _mm512_fmadd_ps(f, scale, cv));

@@ -1,8 +1,36 @@
 #include "util/config.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace voyager {
+
+namespace {
+
+/**
+ * Parse the whole of `text` as a T. std::from_chars takes no leading
+ * '+' or whitespace, a '-' only for signed types, and reports
+ * overflow, so "12abc", "-1" as unsigned and 2^64 all throw.
+ */
+template <typename T>
+T
+parse_number(const std::string &key, const std::string &text,
+             const char *type)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+        throw std::invalid_argument(
+            "--" + key + "=" + text + ": not " + type +
+            (ec == std::errc::result_out_of_range ? " (out of range)"
+                                                  : ""));
+    }
+    return value;
+}
+
+}  // namespace
 
 Config
 Config::from_args(int argc, const char *const *argv)
@@ -47,21 +75,29 @@ std::int64_t
 Config::get_int(const std::string &key, std::int64_t def) const
 {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::stoll(it->second);
+    return it == values_.end()
+               ? def
+               : parse_number<std::int64_t>(key, it->second,
+                                            "an integer");
 }
 
 std::uint64_t
 Config::get_uint(const std::string &key, std::uint64_t def) const
 {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::stoull(it->second);
+    return it == values_.end()
+               ? def
+               : parse_number<std::uint64_t>(key, it->second,
+                                             "an unsigned integer");
 }
 
 double
 Config::get_double(const std::string &key, double def) const
 {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::stod(it->second);
+    return it == values_.end()
+               ? def
+               : parse_number<double>(key, it->second, "a number");
 }
 
 bool

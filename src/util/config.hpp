@@ -31,6 +31,12 @@ class Config
 
     std::string get_string(const std::string &key,
                            const std::string &def = "") const;
+    /**
+     * Numeric getters return `def` when the key is absent. A present
+     * value must be one whole decimal number in range for the type:
+     * trailing junk ("12abc"), a sign on get_uint ("-1") or overflow
+     * throws std::invalid_argument naming the key and the value.
+     */
     std::int64_t get_int(const std::string &key, std::int64_t def) const;
     std::uint64_t get_uint(const std::string &key, std::uint64_t def) const;
     double get_double(const std::string &key, double def) const;

@@ -152,8 +152,9 @@ TEST(Labeler, StoresAreNeverLabels)
     for (const auto scheme :
          {LabelScheme::Global, LabelScheme::Pc, LabelScheme::Spatial}) {
         const auto l = lab(labels[0], scheme);
-        if (l.has_value())
+        if (l.has_value()) {
             EXPECT_NE(*l, 20u);
+        }
     }
 }
 

@@ -1,11 +1,16 @@
 /**
  * @file
  * Tests for the dense kernels: GEMM variants against naive reference,
- * softmax/sigmoid/tanh, bias ops and gradient clipping.
+ * softmax/sigmoid/tanh, bias ops, gradient clipping and the
+ * vectorised LSTM gate kernel against its libm reference.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <vector>
 
 #include "nn/matrix.hpp"
 #include "nn/ops.hpp"
@@ -302,6 +307,184 @@ TEST(Ops, ClipGradientsNoOpBelowNorm)
     g.at(0, 0) = 0.3f;
     clip_gradients({&g}, 1.0f);
     EXPECT_NEAR(g.at(0, 0), 0.3f, 1e-7f);
+}
+
+// ---------------------------------------------------------------------
+// Vectorised LSTM gate kernel against its libm reference and a
+// double-precision reference (DESIGN.md design decision 10).
+// ---------------------------------------------------------------------
+
+/** Inputs and outputs of one gate pass over a single row. */
+struct GateRow
+{
+    std::vector<float> z, bias, c_prev, c, h;
+
+    explicit GateRow(std::size_t hidden)
+        : z(4 * hidden), bias(4 * hidden), c_prev(hidden), c(hidden),
+          h(hidden)
+    {
+    }
+
+    void
+    run(bool kernel, bool with_c_prev)
+    {
+        const float *cp = with_c_prev ? c_prev.data() : nullptr;
+        const auto gate = kernel ? lstm_gate_row : lstm_gate_row_ref;
+        gate(z.data(), bias.data(), cp, c.data(), h.data(), c.size());
+    }
+};
+
+void
+fill_uniform(std::vector<float> &v, float scale, Rng &rng)
+{
+    for (float &x : v)
+        x = (rng.next_float() * 2.0f - 1.0f) * scale;
+}
+
+TEST(LstmGate, MatchesLibmReference)
+{
+    Rng rng(29);
+    float worst = 0.0f;
+    for (const std::size_t hidden : {1, 7, 15, 16, 17, 64, 100}) {
+        for (int row = 0; row < 8; ++row) {
+            for (const bool with_c_prev : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "hidden " << hidden << " row " << row
+                             << " c_prev " << with_c_prev);
+                GateRow in(hidden);
+                fill_uniform(in.z, 6.0f, rng);
+                fill_uniform(in.bias, 1.0f, rng);
+                fill_uniform(in.c_prev, 1.0f, rng);
+                GateRow ref = in;
+                in.run(true, with_c_prev);
+                ref.run(false, with_c_prev);
+                const auto check = [&worst](const std::vector<float> &a,
+                                            const std::vector<float> &b) {
+                    for (std::size_t j = 0; j < a.size(); ++j) {
+                        ASSERT_NEAR(a[j], b[j], 2e-7f) << "index " << j;
+                        worst = std::max(worst, std::fabs(a[j] - b[j]));
+                    }
+                };
+                check(in.z, ref.z);
+                check(in.c, ref.c);
+                check(in.h, ref.h);
+            }
+        }
+    }
+    std::ostringstream os;
+    os << worst;
+    RecordProperty("max_abs_error", os.str());
+}
+
+TEST(LstmGate, SigmoidAndTanhMatchDoublePrecision)
+{
+    // Dense sweep over [-40, 40]: the i gate carries sigmoid(x), the
+    // g gate tanh(x) (zero bias, c_{-1} = 0). The odd length also
+    // runs the zero-padded tail block.
+    const std::size_t n = 400001;
+    GateRow row(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const float x = -40.0f + 80.0f * static_cast<float>(j) /
+                                     static_cast<float>(n - 1);
+        row.z[j] = x;
+        row.z[2 * n + j] = x;
+    }
+    const std::vector<float> xs(row.z.begin(), row.z.begin() + n);
+    row.run(true, false);
+    Matrix t(1, n);
+    std::copy(xs.begin(), xs.end(), t.data());
+    tanh_inplace(t);
+    double sig_err = 0.0;
+    double tanh_err = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double x = xs[j];
+        const double sig = 1.0 / (1.0 + std::exp(-x));
+        sig_err = std::max(sig_err, std::fabs(row.z[j] - sig));
+        tanh_err = std::max(tanh_err,
+                            std::fabs(row.z[2 * n + j] - std::tanh(x)));
+        ASSERT_EQ(row.z[2 * n + j], t.data()[j]) << "x = " << x;
+    }
+    EXPECT_LE(sig_err, 2e-7);
+    EXPECT_LE(tanh_err, 2e-7);
+}
+
+TEST(LstmGate, NanPropagates)
+{
+    // The serve ladder falls through on non-finite logits; a NaN
+    // reaching any gate or the previous cell state must not be
+    // laundered into a finite hidden state.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t slot = 0; slot < 5; ++slot) {
+        SCOPED_TRACE(testing::Message() << "slot " << slot);
+        GateRow row(3);
+        std::fill(row.c_prev.begin(), row.c_prev.end(), 0.5f);
+        if (slot < 4)
+            row.z[slot * 3 + 1] = nan;
+        else
+            row.c_prev[1] = nan;
+        row.run(true, true);
+        if (slot < 4) {
+            EXPECT_TRUE(std::isnan(row.z[slot * 3 + 1]));
+        }
+        if (slot != 3) {  // a NaN output gate leaves c finite
+            EXPECT_TRUE(std::isnan(row.c[1]));
+        }
+        EXPECT_TRUE(std::isnan(row.h[1]));
+        EXPECT_FALSE(std::isnan(row.h[0]));
+        EXPECT_FALSE(std::isnan(row.h[2]));
+    }
+    Matrix t(1, 1, nan);
+    tanh_inplace(t);
+    EXPECT_TRUE(std::isnan(t.at(0, 0)));
+}
+
+TEST(LstmGate, InfinitiesSaturate)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    GateRow row(2);
+    for (std::size_t k = 0; k < 4; ++k) {
+        row.z[2 * k] = inf;
+        row.z[2 * k + 1] = -inf;
+    }
+    row.run(true, false);
+    EXPECT_EQ(row.z[0], 1.0f);   // sigmoid(+inf)
+    EXPECT_EQ(row.z[1], 0.0f);   // sigmoid(-inf)
+    EXPECT_EQ(row.z[4], 1.0f);   // tanh(+inf)
+    EXPECT_EQ(row.z[5], -1.0f);  // tanh(-inf)
+    EXPECT_EQ(row.c[0], 1.0f);
+    EXPECT_EQ(row.c[1], 0.0f);
+    EXPECT_FLOAT_EQ(row.h[0], std::tanh(1.0f));
+    EXPECT_EQ(row.h[1], 0.0f);
+    Matrix t(1, 2);
+    t.at(0, 0) = inf;
+    t.at(0, 1) = -inf;
+    tanh_inplace(t);
+    EXPECT_EQ(t.at(0, 0), 1.0f);
+    EXPECT_EQ(t.at(0, 1), -1.0f);
+}
+
+TEST(LstmGate, TailLanesMatchFullBlockBitForBit)
+{
+    // hidden 17: column 0 runs in the full 16-lane block, column 16
+    // in the zero-padded tail block.
+    const std::size_t hidden = 17;
+    Rng rng(31);
+    for (int trial = 0; trial < 50; ++trial) {
+        GateRow row(hidden);
+        fill_uniform(row.z, 8.0f, rng);
+        fill_uniform(row.bias, 1.0f, rng);
+        fill_uniform(row.c_prev, 2.0f, rng);
+        for (std::size_t k = 0; k < 4; ++k) {
+            row.z[k * hidden + 16] = row.z[k * hidden];
+            row.bias[k * hidden + 16] = row.bias[k * hidden];
+        }
+        row.c_prev[16] = row.c_prev[0];
+        row.run(true, true);
+        for (std::size_t k = 0; k < 4; ++k)
+            ASSERT_EQ(row.z[k * hidden + 16], row.z[k * hidden]);
+        ASSERT_EQ(row.c[16], row.c[0]);
+        ASSERT_EQ(row.h[16], row.h[0]);
+    }
 }
 
 }  // namespace

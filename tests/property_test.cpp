@@ -88,8 +88,9 @@ TEST_P(VocabProperty, DecodeNeverInventsOutOfVocabPages)
             // tokens always succeed.
             continue;
         }
-        if (!vocab.is_delta_page_token(page) && off < 64)
+        if (!vocab.is_delta_page_token(page) && off < 64) {
             ASSERT_TRUE(line.has_value());
+        }
     }
 }
 

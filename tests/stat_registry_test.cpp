@@ -32,7 +32,7 @@ TEST(StatRegistry, ReferencesStableAcrossInserts)
     StatRegistry reg;
     std::uint64_t &c = reg.counter("m");
     for (int i = 0; i < 100; ++i)
-        reg.counter("x" + std::to_string(i));
+        reg.counter(std::string("x").append(std::to_string(i)));
     c = 7;  // must still point at the live entry
     EXPECT_EQ(reg.counter("m"), 7u);
 }

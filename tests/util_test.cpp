@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
@@ -284,6 +286,71 @@ TEST(Config, TypedGetters)
     EXPECT_TRUE(c.get_bool("b", false));
     EXPECT_FALSE(c.get_bool("nope", false));
     EXPECT_EQ(c.keys().size(), 3u);
+}
+
+TEST(Config, NumericGettersRejectMalformedValues)
+{
+    enum Getter { Int, Uint, Double };
+    struct Case
+    {
+        Getter getter;
+        const char *value;
+        bool ok;
+        double expect;  // when ok
+    };
+    const Case cases[] = {
+        {Int, "12", true, 12},
+        {Int, "-7", true, -7},
+        {Int, "9223372036854775807", true, 9223372036854775807.0},
+        {Int, "12abc", false, 0},
+        {Int, "1.5", false, 0},
+        {Int, "", false, 0},
+        {Int, " 3", false, 0},
+        {Int, "+3", false, 0},
+        {Int, "9223372036854775808", false, 0},
+        {Uint, "0", true, 0},
+        {Uint, "18446744073709551615", true, 18446744073709551615.0},
+        {Uint, "-1", false, 0},
+        {Uint, "-0", false, 0},
+        {Uint, "18446744073709551616", false, 0},
+        {Uint, "12abc", false, 0},
+        {Uint, "true", false, 0},
+        {Double, "2.5", true, 2.5},
+        {Double, "-1e-3", true, -1e-3},
+        {Double, "2.5x", false, 0},
+        {Double, "1e999", false, 0},
+        {Double, "", false, 0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "getter " << c.getter << " value '" << c.value
+                     << "'");
+        Config cfg;
+        cfg.set("k", c.value);
+        const auto get = [&]() -> double {
+            switch (c.getter) {
+            case Int:
+                return static_cast<double>(cfg.get_int("k", 0));
+            case Uint:
+                return static_cast<double>(cfg.get_uint("k", 0));
+            case Double:
+                return cfg.get_double("k", 0.0);
+            }
+            return 0.0;
+        };
+        if (c.ok) {
+            EXPECT_EQ(get(), c.expect);
+            continue;
+        }
+        try {
+            get();
+            ADD_FAILURE() << "no exception";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--k="), std::string::npos) << what;
+            EXPECT_NE(what.find(c.value), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(Strings, SplitJoinTrim)
