@@ -1,7 +1,8 @@
 /**
  * @file
  * Micro-benchmarks of the NN substrate (google-benchmark): GEMM,
- * LSTM step, MoE attention, embedding gather, BCE loss — the kernels
+ * LSTM step, a whole model predict, MoE attention, embedding gather,
+ * BCE loss — the kernels
  * whose costs drive §5.4's training/inference overhead numbers.
  */
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/model.hpp"
 #include "nn/attention.hpp"
 #include "nn/hierarchical_softmax.hpp"
 #include "nn/layers.hpp"
@@ -144,6 +146,30 @@ BENCHMARK(BM_GemmNtShaped<nn::gemm_nt>)
 BENCHMARK(BM_GemmNtShaped<nn::gemm_nt_ref>)
     ->Name("BM_GemmNtRefVoyager")
     ->Apply(GemmVoyagerShapes);
+
+// The recurrent h * Wh GEMM of an inference step at the serving shape
+// (k = lstm_units 64, n = 4 * 64): rows 1 is the batch-1 predict on
+// the one-row tile, 8 a full MR-row tile. items/s is FLOP/s.
+void
+BM_GemmNnRows(benchmark::State &state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const std::size_t k = 64;
+    const std::size_t n = 256;
+    Rng rng(15);
+    Matrix a(m, k);
+    Matrix b(k, n);
+    Matrix c(m, n);
+    nn::uniform_init(a, 1.0f, rng);
+    nn::uniform_init(b, 1.0f, rng);
+    for (auto _ : state) {
+        c.zero();
+        nn::gemm_nn(a, b, c);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_GemmNnRows)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------
 // Int8 qgemm vs fp32 at inference shapes (DESIGN.md §5.13). The first
@@ -279,6 +305,53 @@ BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row>)
     ->Name("BM_LstmGateRow");
 BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row_ref>)
     ->Name("BM_LstmGateRowRef");
+
+// A whole VoyagerModel::predict at the repository benchmark's scaled
+// model (seq 8, pc 8, page 32, 4 experts, 64 units; xalancbmk's 276
+// page tokens): embedding, attention, projection, recurrence, heads
+// and ranking. Batch 1 is one prefetch decision; batch 8 holds one
+// tenant's consecutive windows, which share 7 of 8 timesteps with
+// their neighbours. items/s is predictions.
+void
+BM_LstmVoyagerPredict(benchmark::State &state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    core::VoyagerConfig cfg;
+    cfg.seq_len = 8;
+    cfg.pc_embed_dim = 8;
+    cfg.page_embed_dim = 32;
+    cfg.num_experts = 4;
+    cfg.lstm_units = 64;
+    const std::int32_t pcs = 64;
+    const std::int32_t pages = 276;
+    const std::int32_t offsets = 64;
+    core::VoyagerModel model(cfg, pcs, pages, offsets);
+    Rng rng(16);
+    std::vector<std::int32_t> pc(batch + cfg.seq_len);
+    std::vector<std::int32_t> page(pc.size());
+    std::vector<std::int32_t> offset(pc.size());
+    for (std::size_t i = 0; i < pc.size(); ++i) {
+        pc[i] = static_cast<std::int32_t>(rng.next_below(pcs));
+        page[i] = static_cast<std::int32_t>(rng.next_below(pages));
+        offset[i] = static_cast<std::int32_t>(rng.next_below(offsets));
+    }
+    core::VoyagerBatch b;
+    b.batch = batch;
+    b.seq = cfg.seq_len;
+    for (std::size_t s = 0; s < batch; ++s) {
+        for (std::size_t t = 0; t < cfg.seq_len; ++t) {
+            b.pc.push_back(pc[s + t]);
+            b.page.push_back(page[s + t]);
+            b.offset.push_back(offset[s + t]);
+        }
+    }
+    for (auto _ : state) {
+        const auto preds = model.predict(b, 3);
+        benchmark::DoNotOptimize(preds.data());
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LstmVoyagerPredict)->Arg(1)->Arg(8);
 
 void
 BM_MoeAttention(benchmark::State &state)

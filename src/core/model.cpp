@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "nn/loss.hpp"
 #include "nn/ops.hpp"
+#include "nn/qlayers.hpp"
 #include "nn/serialize.hpp"
+#include "util/flat_hash.hpp"
 
 namespace voyager::core {
 
@@ -70,21 +74,183 @@ VoyagerModel::VoyagerModel(const VoyagerConfig &cfg,
     }
 }
 
+namespace {
+
+/** x(r) = [pc_e(r) | page_e(r) | off_aware(r)]; pc_e may be null. */
 void
-VoyagerModel::forward(const VoyagerBatch &batch, bool training)
+concat_inputs(const Matrix *pc_e, const Matrix &page_e,
+              const Matrix &off_aware, Matrix &x)
+{
+    const std::size_t d_pc = pc_e ? pc_e->cols() : 0;
+    const std::size_t d_page = page_e.cols();
+    x.resize_uninit(page_e.rows(), d_pc + 2 * d_page);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        float *row = x.row(r);
+        if (pc_e)
+            std::memcpy(row, pc_e->row(r), d_pc * sizeof(float));
+        std::memcpy(row + d_pc, page_e.row(r), d_page * sizeof(float));
+        std::memcpy(row + d_pc + d_page, off_aware.row(r),
+                    d_page * sizeof(float));
+    }
+}
+
+void
+check_ids(const std::vector<std::int32_t> &ids, std::size_t vocab,
+          const char *field)
+{
+    for (const std::int32_t id : ids) {
+        if (id < 0 || static_cast<std::size_t>(id) >= vocab)
+            throw std::invalid_argument(
+                std::string("VoyagerBatch.") + field + ": id " +
+                std::to_string(id) + " outside [0, " +
+                std::to_string(vocab) + ")");
+    }
+}
+
+/** One (pc, page, offset) token, compared exactly. */
+struct TokenKey
+{
+    std::int32_t pc;
+    std::int32_t page;
+    std::int32_t offset;
+
+    bool operator==(const TokenKey &) const = default;
+};
+
+struct TokenKeyHash
+{
+    std::uint64_t
+    operator()(const TokenKey &k) const
+    {
+        const std::uint64_t po =
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                k.page)) << 32 |
+            static_cast<std::uint32_t>(k.offset);
+        return flat_detail::mix64(
+            po ^ flat_detail::mul_fold(
+                     static_cast<std::uint32_t>(k.pc)));
+    }
+};
+
+/** Thread-local scratch of assemble_inputs. */
+struct InputScratch
+{
+    BatchInputs in;
+    FlatHashMap<TokenKey, std::uint32_t, TokenKeyHash> row_of;
+    std::vector<std::int32_t> pc_ids;
+    std::vector<std::int32_t> page_ids;
+    std::vector<std::int32_t> off_ids;
+    Matrix pc_e;
+    Matrix page_e;
+    Matrix off_e;
+    Matrix off_aware;
+};
+
+/**
+ * Check a batch where it enters a model: `seq` equals `cfg.seq_len`;
+ * pc, page and offset each hold batch * seq ids; every page and
+ * offset id (and pc id, when `cfg.use_pc_feature`) lies in
+ * [0, vocab) of its embedding; with `training`, there is one label
+ * list per sample.
+ * @throws std::invalid_argument naming the offending field
+ */
+void
+validate_batch(const VoyagerBatch &batch, const VoyagerConfig &cfg,
+               std::size_t pc_vocab, std::size_t page_vocab,
+               std::size_t offset_vocab, bool training)
+{
+    if (batch.seq != cfg.seq_len)
+        throw std::invalid_argument(
+            "VoyagerBatch.seq: " + std::to_string(batch.seq) +
+            " != model seq_len " + std::to_string(cfg.seq_len));
+    const std::size_t n = batch.batch * batch.seq;
+    const auto check_size = [n](const std::vector<std::int32_t> &v,
+                                const char *field) {
+        if (v.size() != n)
+            throw std::invalid_argument(
+                std::string("VoyagerBatch.") + field + ": " +
+                std::to_string(v.size()) + " ids != batch * seq = " +
+                std::to_string(n));
+    };
+    check_size(batch.pc, "pc");
+    check_size(batch.page, "page");
+    check_size(batch.offset, "offset");
+    if (training && batch.labels.size() != batch.batch)
+        throw std::invalid_argument(
+            "VoyagerBatch.labels: " +
+            std::to_string(batch.labels.size()) +
+            " label lists != batch " + std::to_string(batch.batch));
+    if (cfg.use_pc_feature)
+        check_ids(batch.pc, pc_vocab, "pc");
+    check_ids(batch.page, page_vocab, "page");
+    check_ids(batch.offset, offset_vocab, "offset");
+}
+
+}  // namespace
+
+template <class Emb>
+const BatchInputs &
+assemble_inputs(const VoyagerBatch &batch, const VoyagerConfig &cfg,
+                const Emb &pc_emb, const Emb &page_emb,
+                const Emb &offset_emb, const nn::MoeAttention &attn)
+{
+    validate_batch(batch, cfg, pc_emb.vocab(), page_emb.vocab(),
+                   offset_emb.vocab(), /*training=*/false);
+    static thread_local InputScratch s;
+    const std::size_t B = batch.batch;
+    const std::size_t T = batch.seq;
+    const bool use_pc = cfg.use_pc_feature;
+
+    s.row_of.clear();
+    s.pc_ids.clear();
+    s.page_ids.clear();
+    s.off_ids.clear();
+    s.in.steps.batch = B;
+    s.in.steps.index.resize(B * T);
+    for (std::size_t t = 0; t < T; ++t) {
+        for (std::size_t b = 0; b < B; ++b) {
+            const std::size_t i = b * T + t;
+            const TokenKey key{use_pc ? batch.pc[i] : 0, batch.page[i],
+                               batch.offset[i]};
+            const auto next =
+                static_cast<std::uint32_t>(s.page_ids.size());
+            const auto [it, fresh] = s.row_of.emplace(key, next);
+            if (fresh) {
+                s.pc_ids.push_back(key.pc);
+                s.page_ids.push_back(key.page);
+                s.off_ids.push_back(key.offset);
+            }
+            s.in.steps.index[t * B + b] = it->second;
+        }
+    }
+
+    page_emb.forward(s.page_ids, s.page_e);
+    offset_emb.forward(s.off_ids, s.off_e);
+    attn.infer(s.page_e, s.off_e, s.off_aware);
+    if (use_pc)
+        pc_emb.forward(s.pc_ids, s.pc_e);
+    concat_inputs(use_pc ? &s.pc_e : nullptr, s.page_e, s.off_aware,
+                  s.in.x);
+    return s.in;
+}
+
+template const BatchInputs &assemble_inputs<nn::Embedding>(
+    const VoyagerBatch &, const VoyagerConfig &, const nn::Embedding &,
+    const nn::Embedding &, const nn::Embedding &,
+    const nn::MoeAttention &);
+template const BatchInputs &assemble_inputs<nn::QuantizedEmbedding>(
+    const VoyagerBatch &, const VoyagerConfig &,
+    const nn::QuantizedEmbedding &, const nn::QuantizedEmbedding &,
+    const nn::QuantizedEmbedding &, const nn::MoeAttention &);
+
+void
+VoyagerModel::forward(const VoyagerBatch &batch)
 {
     const std::size_t B = batch.batch;
     const std::size_t T = batch.seq;
-    assert(T == cfg_.seq_len);
-    assert(batch.pc.size() == B * T && batch.page.size() == B * T &&
-           batch.offset.size() == B * T);
 
-    page_dropout_.set_training(training);
-    offset_dropout_.set_training(training);
-
-    const std::size_t d_pc = cfg_.use_pc_feature ? cfg_.pc_embed_dim : 0;
-    const std::size_t d_page = cfg_.page_embed_dim;
-    const std::size_t in_dim = d_pc + 2 * d_page;
+    page_dropout_.set_training(true);
+    offset_dropout_.set_training(true);
 
     xs_.assign(T, Matrix());
     step_pc_ids_.assign(T, {});
@@ -110,37 +276,31 @@ VoyagerModel::forward(const VoyagerBatch &batch, bool training)
         page_emb_.forward(page_ids, page_e);
         offset_emb_.forward(off_ids, off_e);
         attn_[t].forward(page_e, off_e, off_aware);
-
-        Matrix &x = xs_[t];
-        x.resize(B, in_dim);
         if (cfg_.use_pc_feature)
             pc_emb_.forward(pc_ids, pc_e);
-        for (std::size_t b = 0; b < B; ++b) {
-            float *row = x.row(b);
-            std::size_t o = 0;
-            if (cfg_.use_pc_feature) {
-                std::memcpy(row, pc_e.row(b), d_pc * sizeof(float));
-                o += d_pc;
-            }
-            std::memcpy(row + o, page_e.row(b), d_page * sizeof(float));
-            o += d_page;
-            std::memcpy(row + o, off_aware.row(b),
-                        d_page * sizeof(float));
-        }
+        concat_inputs(cfg_.use_pc_feature ? &pc_e : nullptr, page_e,
+                      off_aware, xs_[t]);
     }
 
-    // Inference skips the per-step LSTM caches (backward never runs);
-    // both entry points are bit-identical (see Lstm::forward_inference),
-    // so predictions do not depend on which one served them.
-    if (training) {
-        page_lstm_.forward(xs_, h_page_);
-        offset_lstm_.forward(xs_, h_offset_);
-    } else {
-        page_lstm_.forward_inference(xs_, h_page_);
-        offset_lstm_.forward_inference(xs_, h_offset_);
-    }
+    page_lstm_.forward(xs_, h_page_);
+    offset_lstm_.forward(xs_, h_offset_);
     page_dropout_.forward(h_page_);
     offset_dropout_.forward(h_offset_);
+    page_head_.forward(h_page_, page_logits_);
+    offset_head_.forward(h_offset_, offset_logits_);
+}
+
+void
+VoyagerModel::infer(const VoyagerBatch &batch)
+{
+    // Dropout is the identity at inference, so it is skipped.
+    const BatchInputs &in = assemble_inputs(
+        batch, cfg_, pc_emb_, page_emb_, offset_emb_, attn_.front());
+    static thread_local Matrix proj;
+    page_lstm_.project_inputs(in.x, proj);
+    page_lstm_.forward_inference(proj, in.steps, h_page_);
+    offset_lstm_.project_inputs(in.x, proj);
+    offset_lstm_.forward_inference(proj, in.steps, h_offset_);
     page_head_.forward(h_page_, page_logits_);
     offset_head_.forward(h_offset_, offset_logits_);
 }
@@ -200,8 +360,9 @@ VoyagerModel::backward(const VoyagerBatch &batch,
 double
 VoyagerModel::train_step(const VoyagerBatch &batch)
 {
-    assert(batch.labels.size() == batch.batch);
-    forward(batch, /*training=*/true);
+    validate_batch(batch, cfg_, pc_emb_.vocab(), page_emb_.vocab(),
+                   offset_emb_.vocab(), /*training=*/true);
+    forward(batch);
 
     Matrix dpage;
     Matrix doffset;
@@ -328,7 +489,7 @@ rank_token_predictions(const Matrix &page_logits,
 std::vector<std::vector<TokenPrediction>>
 VoyagerModel::predict(const VoyagerBatch &batch, std::size_t k)
 {
-    forward(batch, /*training=*/false);
+    infer(batch);
     const bool use_bce =
         cfg_.multi_label && cfg_.multi_label_loss == MultiLabelLoss::Bce;
     return rank_token_predictions(page_logits_, offset_logits_,

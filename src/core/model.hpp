@@ -117,6 +117,37 @@ rank_token_predictions(const nn::Matrix &page_logits,
                        const nn::Matrix &offset_logits, bool use_bce,
                        std::size_t k);
 
+/**
+ * The LSTM inputs of an inference batch with each distinct
+ * (pc, page, offset) token assembled once: `x` holds one
+ * [pc | page | attention] row per distinct token, and `steps` maps
+ * every (timestep, sample) to its row (nn::StepRows). pc is left out
+ * of the token when `use_pc_feature` is off.
+ */
+struct BatchInputs
+{
+    nn::StepRows steps;
+    nn::Matrix x;  ///< (distinct tokens, LSTM in_dim)
+};
+
+/**
+ * Inference input assembly shared by VoyagerModel and
+ * QuantizedVoyagerModel (`Emb` = nn::Embedding or
+ * nn::QuantizedEmbedding): validate the batch, collect its distinct
+ * tokens (keys compared exactly), then gather the embeddings, run the
+ * MoE attention and concatenate once per distinct token. Every step
+ * is row-local, so a row has the bits the per-step training forward
+ * gives that token. Returns thread-local scratch, valid until the
+ * next call on the calling thread.
+ * @throws std::invalid_argument naming the field on a malformed batch
+ *         (as VoyagerModel::predict)
+ */
+template <class Emb>
+const BatchInputs &
+assemble_inputs(const VoyagerBatch &batch, const VoyagerConfig &cfg,
+                const Emb &pc_emb, const Emb &page_emb,
+                const Emb &offset_emb, const nn::MoeAttention &attn);
+
 /** The Voyager neural network. */
 class VoyagerModel
 {
@@ -125,10 +156,25 @@ class VoyagerModel
                  std::int32_t num_page_tokens,
                  std::int32_t num_offset_tokens);
 
-    /** One optimizer step on a batch. @return mean loss. */
+    /**
+     * One optimizer step on a batch. @return mean loss.
+     * @throws std::invalid_argument naming the field when `seq` is
+     *         not seq_len, an id vector is not batch * seq long, an id
+     *         is outside its embedding's vocabulary (pc ids only with
+     *         use_pc_feature), or there is not one label list per
+     *         sample
+     */
     double train_step(const VoyagerBatch &batch);
 
-    /** Top-k (page, offset) candidates per sample, by joint prob. */
+    /**
+     * Top-k (page, offset) candidates per sample, by joint prob.
+     * Runs the inference forward: each distinct token's LSTM input
+     * projection is computed once (assemble_inputs), then only the
+     * recurrence runs per step. Bit-identical to the training
+     * forward without dropout.
+     * @throws std::invalid_argument naming the field, as train_step
+     *         (labels are not read)
+     */
     std::vector<std::vector<TokenPrediction>>
     predict(const VoyagerBatch &batch, std::size_t k);
 
@@ -180,8 +226,10 @@ class VoyagerModel
     const nn::Linear &offset_head() const { return offset_head_; }
 
   private:
-    /** Run the network; fills logits. @param training enables dropout. */
-    void forward(const VoyagerBatch &batch, bool training);
+    /** Training forward (dropout on, per-step caches); fills logits. */
+    void forward(const VoyagerBatch &batch);
+    /** Inference forward over distinct tokens; fills logits. */
+    void infer(const VoyagerBatch &batch);
     /** Backprop from head-logit gradients through everything. */
     void backward(const VoyagerBatch &batch,
                   const nn::Matrix &dpage_logits,
@@ -193,7 +241,9 @@ class VoyagerModel
     nn::Embedding pc_emb_;
     nn::Embedding page_emb_;
     nn::Embedding offset_emb_;
-    std::vector<nn::MoeAttention> attn_;  ///< one per timestep
+    /** One per timestep: the training forward caches per step;
+     *  inference uses the first, statelessly. */
+    std::vector<nn::MoeAttention> attn_;
     nn::Lstm page_lstm_;
     nn::Lstm offset_lstm_;
     nn::Dropout page_dropout_;

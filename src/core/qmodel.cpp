@@ -1,8 +1,6 @@
 #include "core/qmodel.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 namespace voyager::core {
 
@@ -13,8 +11,7 @@ QuantizedVoyagerModel::QuantizedVoyagerModel(const VoyagerModel &src)
       pc_emb_(src.pc_embedding()),
       page_emb_(src.page_embedding()),
       offset_emb_(src.offset_embedding()),
-      attn_(cfg_.seq_len,
-            nn::MoeAttention(cfg_.num_experts, cfg_.attention_scale)),
+      attn_(cfg_.num_experts, cfg_.attention_scale),
       page_lstm_(src.page_lstm()),
       offset_lstm_(src.offset_lstm()),
       page_head_(src.page_head()),
@@ -25,59 +22,16 @@ QuantizedVoyagerModel::QuantizedVoyagerModel(const VoyagerModel &src)
 void
 QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
 {
-    const std::size_t B = batch.batch;
-    const std::size_t T = batch.seq;
-    assert(T == cfg_.seq_len);
-    assert(batch.pc.size() == B * T && batch.page.size() == B * T &&
-           batch.offset.size() == B * T);
-
-    const std::size_t d_pc = cfg_.use_pc_feature ? cfg_.pc_embed_dim : 0;
-    const std::size_t d_page = cfg_.page_embed_dim;
-    const std::size_t in_dim = d_pc + 2 * d_page;
-
-    xs_.assign(T, Matrix());
-
-    // Same input assembly as VoyagerModel::forward (minus dropout,
-    // which is identity at inference): per step, gather + dequantize
-    // the embeddings in int8, mix the page-aware offset embedding in
-    // fp32 attention, and concatenate [pc | page | attention] rows.
-    std::vector<std::int32_t> pc_ids(B);
-    std::vector<std::int32_t> page_ids(B);
-    std::vector<std::int32_t> off_ids(B);
-    Matrix pc_e;
-    Matrix page_e;
-    Matrix off_e;
-    Matrix off_aware;
-    for (std::size_t t = 0; t < T; ++t) {
-        for (std::size_t b = 0; b < B; ++b) {
-            pc_ids[b] = batch.pc[b * T + t];
-            page_ids[b] = batch.page[b * T + t];
-            off_ids[b] = batch.offset[b * T + t];
-        }
-        page_emb_.forward(page_ids, page_e);
-        offset_emb_.forward(off_ids, off_e);
-        attn_[t].forward(page_e, off_e, off_aware);
-
-        Matrix &x = xs_[t];
-        x.resize(B, in_dim);
-        if (cfg_.use_pc_feature)
-            pc_emb_.forward(pc_ids, pc_e);
-        for (std::size_t b = 0; b < B; ++b) {
-            float *row = x.row(b);
-            std::size_t o = 0;
-            if (cfg_.use_pc_feature) {
-                std::memcpy(row, pc_e.row(b), d_pc * sizeof(float));
-                o += d_pc;
-            }
-            std::memcpy(row + o, page_e.row(b), d_page * sizeof(float));
-            o += d_page;
-            std::memcpy(row + o, off_aware.row(b),
-                        d_page * sizeof(float));
-        }
-    }
-
-    page_lstm_.forward(xs_, h_page_);
-    offset_lstm_.forward(xs_, h_offset_);
+    // Same input assembly as VoyagerModel::predict, with the
+    // embeddings gathered and dequantized in int8 and the attention
+    // in fp32.
+    const BatchInputs &in = assemble_inputs(
+        batch, cfg_, pc_emb_, page_emb_, offset_emb_, attn_);
+    static thread_local Matrix proj;
+    page_lstm_.project_inputs(in.x, proj);
+    page_lstm_.forward(proj, in.steps, h_page_);
+    offset_lstm_.project_inputs(in.x, proj);
+    offset_lstm_.forward(proj, in.steps, h_offset_);
     page_head_.forward(h_page_, page_logits_);
     offset_head_.forward(h_offset_, offset_logits_);
 }

@@ -32,7 +32,13 @@ class QuantizedVoyagerModel
     /** Quantize a trained (typically compressed) model's weights. */
     explicit QuantizedVoyagerModel(const VoyagerModel &src);
 
-    /** Top-k (page, offset) candidates per sample, by joint prob. */
+    /**
+     * Top-k (page, offset) candidates per sample, by joint prob. Each
+     * distinct token's LSTM input projection runs once
+     * (assemble_inputs), then only the recurrence runs per step.
+     * @throws std::invalid_argument naming the field on a malformed
+     *         batch (as VoyagerModel::predict)
+     */
     std::vector<std::vector<TokenPrediction>>
     predict(const VoyagerBatch &batch, std::size_t k);
 
@@ -55,14 +61,13 @@ class QuantizedVoyagerModel
     nn::QuantizedEmbedding pc_emb_;
     nn::QuantizedEmbedding page_emb_;
     nn::QuantizedEmbedding offset_emb_;
-    std::vector<nn::MoeAttention> attn_;  ///< fp32, one per timestep
+    nn::MoeAttention attn_;  ///< fp32, stateless at inference
     nn::QuantizedLstm page_lstm_;
     nn::QuantizedLstm offset_lstm_;
     nn::QuantizedLinear page_head_;
     nn::QuantizedLinear offset_head_;
 
     // Forward caches.
-    std::vector<nn::Matrix> xs_;
     nn::Matrix h_page_;
     nn::Matrix h_offset_;
     nn::Matrix page_logits_;

@@ -18,6 +18,23 @@ void
 MoeAttention::forward(const Matrix &page_emb, const Matrix &offset_emb,
                       Matrix &out)
 {
+    page_ = page_emb;
+    offset_ = offset_emb;
+    mix(page_emb, offset_emb, attn_, out);
+}
+
+void
+MoeAttention::infer(const Matrix &page_emb, const Matrix &offset_emb,
+                    Matrix &out) const
+{
+    static thread_local Matrix attn;
+    mix(page_emb, offset_emb, attn, out);
+}
+
+void
+MoeAttention::mix(const Matrix &page_emb, const Matrix &offset_emb,
+                  Matrix &attn, Matrix &out) const
+{
     const std::size_t batch = page_emb.rows();
     const std::size_t d = page_emb.cols();
     assert(offset_emb.rows() == batch);
@@ -25,15 +42,13 @@ MoeAttention::forward(const Matrix &page_emb, const Matrix &offset_emb,
 
     ScopedOpTimer timer(op_stats().attention,
                         4ull * batch * experts_ * d);
-    page_ = page_emb;
-    offset_ = offset_emb;
-    attn_.resize_uninit(batch, experts_);  // scores assigned below
+    attn.resize_uninit(batch, experts_);  // scores assigned below
 
     // Scores: a(o, s) = softmax_s(f * <h_p, h_{o,s}>)  (Eq. 9).
     for (std::size_t r = 0; r < batch; ++r) {
         const float *p = page_emb.row(r);
         const float *o = offset_emb.row(r);
-        float *a = attn_.row(r);
+        float *a = attn.row(r);
         for (std::size_t s = 0; s < experts_; ++s) {
             float dot = 0.0f;
             const float *chunk = o + s * d;
@@ -42,13 +57,13 @@ MoeAttention::forward(const Matrix &page_emb, const Matrix &offset_emb,
             a[s] = scale_ * dot;
         }
     }
-    softmax_rows(attn_);
+    softmax_rows(attn);
 
     // Output: h'_o = sum_s a(o, s) h_{o,s}  (Eq. 10).
     out.resize(batch, d);
     for (std::size_t r = 0; r < batch; ++r) {
         const float *o = offset_emb.row(r);
-        const float *a = attn_.row(r);
+        const float *a = attn.row(r);
         float *y = out.row(r);
         for (std::size_t s = 0; s < experts_; ++s) {
             const float w = a[s];

@@ -34,6 +34,14 @@ class MoeAttention
                  Matrix &out);
 
     /**
+     * forward() without the caches backward() reads: the same
+     * arithmetic, so `out` has the same bits, but the module's state
+     * is untouched. Each output row depends only on its input rows.
+     */
+    void infer(const Matrix &page_emb, const Matrix &offset_emb,
+               Matrix &out) const;
+
+    /**
      * Backprop: splits d(out) into gradients for the page embedding
      * and the raw offset embedding (both overwritten).
      */
@@ -53,6 +61,10 @@ class MoeAttention
     void load_state(std::istream &is);
 
   private:
+    /** Scores into `attn` (batch, n), then the mixture into `out`. */
+    void mix(const Matrix &page_emb, const Matrix &offset_emb,
+             Matrix &attn, Matrix &out) const;
+
     std::size_t experts_;
     float scale_;
     Matrix page_;    // cached query

@@ -1,5 +1,6 @@
 #include "nn/lstm.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "nn/layers.hpp"
@@ -63,12 +64,21 @@ Lstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
 }
 
 void
-Lstm::forward_inference(const std::vector<Matrix> &xs, Matrix &h_last)
+Lstm::project_inputs(const Matrix &x, Matrix &proj) const
 {
-    assert(!xs.empty());
-    const std::size_t batch = xs[0].rows();
+    assert(x.cols() == in_dim());
+    proj.resize(x.rows(), 4 * hidden());  // zero-fills: GEMM accumulates
+    gemm_nn(x, wx_.value, proj);
+}
+
+void
+Lstm::forward_inference(const Matrix &proj, const StepRows &rows,
+                        Matrix &h_last)
+{
+    const std::size_t batch = rows.batch;
     const std::size_t h = hidden();
-    const std::size_t T = xs.size();
+    const std::size_t T = rows.steps();
+    assert(proj.cols() == 4 * h);
 
     // Serving path: no per-step caches, so memory stays
     // O(batch x hidden) for any sequence length. Poison the training
@@ -79,20 +89,23 @@ Lstm::forward_inference(const std::vector<Matrix> &xs, Matrix &h_last)
     const float *bias = b_.value.data();
     Matrix &z = inf_z_;
     Matrix &h_prev = inf_h_;
+    z.resize_uninit(batch, 4 * h);  // every row is copied in below
+    h_prev.resize_uninit(batch, h);
     for (std::size_t t = 0; t < T; ++t) {
-        assert(xs[t].rows() == batch && xs[t].cols() == in_dim());
         Matrix &c_prev = inf_c_[t % 2];
         Matrix &c_cur = inf_c_[(t + 1) % 2];
-        z.resize(batch, 4 * h);  // zero-fills: the GEMMs accumulate
-        gemm_nn(xs[t], wx_.value, z);
+        // z = 0 + x_t Wx, then h Wh accumulates onto it: the same
+        // order as forward()'s two GEMMs into a zeroed z.
+        for (std::size_t b = 0; b < batch; ++b) {
+            const float *src = proj.row(rows.at(t, b));
+            std::copy(src, src + 4 * h, z.row(b));
+        }
         if (t > 0)  // h_{-1} = 0 contributes nothing at t = 0
             gemm_nn(h_prev, wh_.value, z);
 
         c_cur.resize_uninit(batch, h);
-        if (t == 0)
-            h_prev.resize_uninit(batch, h);
-        // h_prev is rewritten to h_t in place: both GEMMs for this
-        // step have already consumed it.
+        // h_prev is rewritten to h_t in place: the GEMM for this
+        // step has already consumed it.
         ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
         for (std::size_t r = 0; r < batch; ++r) {
             lstm_gate_row(z.row(r), bias,

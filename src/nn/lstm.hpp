@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -14,6 +15,25 @@
 #include "util/random.hpp"
 
 namespace voyager::nn {
+
+/**
+ * Where each (timestep, sample) of a sequence batch reads its input
+ * from a matrix of the batch's distinct input rows: step t of sample
+ * b is row `index[t * batch + b]`. Built by the model's inference
+ * input assembly (core::assemble_inputs).
+ */
+struct StepRows
+{
+    std::size_t batch = 0;
+    std::vector<std::uint32_t> index;  ///< steps() * batch entries
+
+    std::size_t steps() const { return batch ? index.size() / batch : 0; }
+    std::uint32_t
+    at(std::size_t t, std::size_t b) const
+    {
+        return index[t * batch + b];
+    }
+};
 
 /** Single-layer LSTM (gate order i, f, g, o). */
 class Lstm
@@ -43,15 +63,29 @@ class Lstm
     void backward(const Matrix &dh_last, std::vector<Matrix> &dxs);
 
     /**
-     * forward() without retaining the per-step training caches: only
-     * a rotating (cell, hidden) pair survives each step, so serving
-     * keeps O(batch x hidden) state regardless of sequence length.
-     * Bit-identical to forward() — both paths issue the same GEMMs
-     * and run the same gate kernel (nn::lstm_gate_row) — but it
-     * invalidates the training caches: backward() must not be called
-     * until the next forward().
+     * The input projection of the inference path: proj(rows, 4H) =
+     * 0 + x Wx for distinct input rows x (rows, in_dim), one GEMM.
+     * Row-invariant (ops.hpp), so each row has the bits forward()
+     * computes for that input at any step and batch position.
      */
-    void forward_inference(const std::vector<Matrix> &xs,
+    void project_inputs(const Matrix &x, Matrix &proj) const;
+
+    /**
+     * forward() over projected inputs, without retaining the per-step
+     * training caches. Step t of sample b starts from
+     * z = proj.row(rows.at(t, b)); each step then runs only the
+     * h_{t-1} Wh GEMM and the gate kernel (nn::lstm_gate_row), and
+     * only a rotating (cell, hidden) pair survives it, so serving
+     * keeps O(batch x hidden) state for any sequence length.
+     * Bit-identical to forward() on the per-step inputs — z is the
+     * same (0 + x Wx) + h Wh — but it invalidates the training
+     * caches: backward() must not be called until the next forward().
+     *
+     * @param proj project_inputs() of the distinct input rows
+     * @param rows (t, b) -> row of `proj`
+     * @param h_last receives h_T (rows.batch, hidden)
+     */
+    void forward_inference(const Matrix &proj, const StepRows &rows,
                            Matrix &h_last);
 
     Param &wx() { return wx_; }

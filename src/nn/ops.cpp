@@ -199,12 +199,50 @@ micro_kernel(std::size_t k, const float *__restrict ap,
     }
 }
 
+constexpr std::size_t NRW = 128;        ///< cols per wide row tile
+constexpr std::size_t NVW = NRW / VL;   ///< vectors per wide row tile
+
+/**
+ * One-row tile: c[0:nrem] += arow * Bpanel over NW vectors. The row
+ * of op(A) is read in place (element p at ap[p * astride]), so a
+ * one-row tile is neither packed nor padded to MR rows. Each lane
+ * runs the same multiply-add sequence over k as micro_kernel, so a
+ * row computed here has the same bits as inside an MR-row tile.
+ */
+template <std::size_t NW>
+void
+row_kernel(std::size_t k, const float *__restrict ap, std::size_t astride,
+           const float *__restrict bp, std::size_t bstride,
+           float *__restrict c, std::size_t nrem)
+{
+    vfloat acc[NW] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+        const float av = ap[p * astride];
+        const auto *__restrict brow
+            = reinterpret_cast<const vfloat *>(bp + p * bstride);
+        for (std::size_t w = 0; w < NW; ++w)
+            acc[w] += brow[w] * av;
+    }
+    if (nrem == NW * VL) {
+        auto *cv = reinterpret_cast<vfloat *>(c);
+        for (std::size_t w = 0; w < NW; ++w)
+            cv[w] += acc[w];
+    } else {
+        const auto *accrow = reinterpret_cast<const float *>(acc);
+        for (std::size_t j = 0; j < nrem; ++j)
+            c[j] += accrow[j];
+    }
+}
+
 /**
  * Shared driver: C += op(A) * op(B). Operands whose memory layout
  * already matches the panel layout are read in place (A when
  * transposed, B when not — both then walk contiguous MR/NR-float
  * strips per k step); only layout-mismatched operands and ragged edge
- * tiles are packed into reused thread-local scratch.
+ * tiles are packed into reused thread-local scratch. A one-row tile
+ * (m == 1, or a ragged last tile of one row) runs row_kernel on the
+ * row in place; when B is read in place it takes NRW columns per
+ * pass, enough independent accumulators to hide the FMA latency.
  */
 void
 gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
@@ -217,12 +255,14 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
     if (m == 0 || n == 0 || k == 0)
         return;
 
-    const std::size_t tiles_m = (m + MR - 1) / MR;
+    const std::size_t a_edge = m % MR;
+    const std::size_t b_edge = n % NR;
+    const bool row_tile = a_edge == 1;
+    // MR-row tiles; a one-row edge tile is handled by row_kernel.
+    const std::size_t tiles_m = m / MR + (a_edge > 1 ? 1 : 0);
     const std::size_t tiles_n = (n + NR - 1) / NR;
     const bool a_direct = a_trans;    // op(A) rows are contiguous in A
     const bool b_direct = !b_trans;   // op(B) rows are contiguous in B
-    const std::size_t a_edge = m % MR;
-    const std::size_t b_edge = n % NR;
 
     // Pack everything layout-mismatched; in direct mode pack only the
     // zero-padded ragged edge tile (if any) at the buffer's start.
@@ -235,7 +275,7 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
             pack_a_tile(a, a_trans, it * MR,
                         std::min(MR, m - it * MR), k,
                         abuf.data() + it * k * MR);
-    } else if (a_edge != 0) {
+    } else if (a_edge > 1) {
         if (abuf.size() < k * MR)
             abuf.resize(k * MR);
         pack_a_tile(a, a_trans, m - a_edge, a_edge, k, abuf.data());
@@ -253,18 +293,22 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
         pack_b_tile(b, b_trans, n - b_edge, b_edge, k, bbuf.data());
     }
 
+    // NR-column panel jt of op(B): in place or packed.
+    const auto b_panel = [&](std::size_t jt, std::size_t nrem,
+                             std::size_t &bstride) -> const float * {
+        if (b_direct && nrem == NR) {
+            bstride = b.cols();
+            return b.data() + jt * NR;
+        }
+        bstride = NR;
+        return b_direct ? bbuf.data() : bbuf.data() + jt * k * NR;
+    };
+
     for (std::size_t jt = 0; jt < tiles_n; ++jt) {
         const std::size_t j0 = jt * NR;
         const std::size_t nrem = std::min(NR, n - j0);
-        const float *bp;
         std::size_t bstride;
-        if (b_direct && nrem == NR) {
-            bp = b.data() + j0;
-            bstride = b.cols();
-        } else {
-            bp = b_direct ? bbuf.data() : bbuf.data() + jt * k * NR;
-            bstride = NR;
-        }
+        const float *bp = b_panel(jt, nrem, bstride);
         for (std::size_t it = 0; it < tiles_m; ++it) {
             const std::size_t i0 = it * MR;
             const std::size_t mrem = std::min(MR, m - i0);
@@ -281,6 +325,25 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
             micro_kernel(k, ap, astride, bp, bstride,
                          c.row(i0) + j0, c.cols(), mrem, nrem);
         }
+    }
+
+    if (!row_tile)
+        return;
+    // op(A)(m-1, p) sits at A(m-1, p), or at A(p, m-1) when transposed.
+    const float *ap = a_trans ? a.data() + (m - 1) : a.row(m - 1);
+    const std::size_t astride = a_trans ? a.cols() : 1;
+    float *crow = c.row(m - 1);
+    std::size_t j0 = 0;
+    if (b_direct) {
+        for (; j0 + NRW <= n; j0 += NRW)
+            row_kernel<NVW>(k, ap, astride, b.data() + j0, b.cols(),
+                            crow + j0, NRW);
+    }
+    for (; j0 < n; j0 += NR) {
+        const std::size_t nrem = std::min(NR, n - j0);
+        std::size_t bstride;
+        const float *bp = b_panel(j0 / NR, nrem, bstride);
+        row_kernel<NV>(k, ap, astride, bp, bstride, crow + j0, nrem);
     }
 }
 

@@ -14,6 +14,18 @@
  * gradients (`Param::grad`) sum contributions across timesteps and
  * batches by calling GEMM repeatedly on the same output.
  *
+ * GEMM contract — ROW INVARIANCE
+ * ------------------------------
+ * Each output row of `gemm_nn`, `gemm_tn` and `gemm_nt` depends only
+ * on the matching row of op(A) and on op(B): a row has the same bits
+ * whether it is computed alone (m = 1), inside a larger batch, or at
+ * any position of a row-permuted batch. Every tile accumulates an
+ * element over k in the same order and adds it to `c` once, and the
+ * one-row tile runs the same per-lane multiply-add sequence as the
+ * MR-row tile. Batched serving being bit-identical to batch 1, and
+ * the LSTM input projection being computed once per distinct input
+ * row (VoyagerModel::predict), both rest on this.
+ *
  * The `gemm_*` entry points run a packed, register-blocked microkernel
  * (single-core, auto-vectorised); the `gemm_*_ref` functions keep the
  * seed's naive loops as a slow, independently-written reference for

@@ -1,5 +1,6 @@
 #include "nn/qlayers.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -85,33 +86,45 @@ QuantizedLstm::QuantizedLstm(const Lstm &src)
 }
 
 void
-QuantizedLstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
+QuantizedLstm::project_inputs(const Matrix &x, Matrix &proj)
 {
-    assert(!xs.empty());
-    const std::size_t batch = xs[0].rows();
+    assert(x.cols() == in_dim());
+    proj.resize(x.rows(), 4 * hidden());  // zero-fills: qgemm accumulates
+    // The x * Wx GEMM runs twice int8: the quantized input, then its
+    // error-feedback residual on a ~255x finer grid. The LSTM's x
+    // rows concatenate embeddings with heterogeneous magnitudes, so
+    // one u8 grid per row is too coarse on its own — the residual
+    // pass keeps top-1 predictions aligned with fp32 while staying on
+    // the int8 kernels. h rows are homogeneous bounded tanh outputs;
+    // a single pass suffices there (verified by the agreement test,
+    // which is insensitive to Wh quantization error).
+    quantize_activations(x, qx_);
+    qgemm_nt(qx_, wxq_, proj);
+    quant_residual(x, qx_, r_);
+    quantize_activations(r_, qr_);
+    qgemm_nt(qr_, wxq_, proj);
+}
+
+void
+QuantizedLstm::forward(const Matrix &proj, const StepRows &rows,
+                       Matrix &h_last)
+{
+    const std::size_t batch = rows.batch;
     const std::size_t h = hidden();
-    const std::size_t T = xs.size();
+    const std::size_t T = rows.steps();
+    assert(proj.cols() == 4 * h);
 
     h_prev_.resize(batch, h);
     c_prev_.resize(batch, h);
+    z_.resize_uninit(batch, 4 * h);  // every row is copied in below
     const float *bias = bias_.data();
     for (std::size_t t = 0; t < T; ++t) {
-        assert(xs[t].rows() == batch && xs[t].cols() == in_dim());
-        z_.resize(batch, 4 * h);  // zero-fills: the qgemms accumulate
-        // The x * Wx GEMM runs twice int8: the quantized input, then
-        // its error-feedback residual on a ~255x finer grid. The
-        // LSTM's x rows concatenate embeddings with heterogeneous
-        // magnitudes, so one u8 grid per row is too coarse on its
-        // own — the residual pass keeps top-1 predictions aligned
-        // with fp32 while staying on the int8 kernels. h rows are
-        // homogeneous bounded tanh outputs; a single pass suffices
-        // there (verified by the agreement test, which is
-        // insensitive to Wh quantization error).
-        quantize_activations(xs[t], qx_);
-        qgemm_nt(qx_, wxq_, z_);
-        quant_residual(xs[t], qx_, r_);
-        quantize_activations(r_, qr_);
-        qgemm_nt(qr_, wxq_, z_);
+        // z = (0 + x Wx) + h Wh, the accumulation order of one zeroed
+        // buffer taking all three qgemm passes.
+        for (std::size_t b = 0; b < batch; ++b) {
+            const float *src = proj.row(rows.at(t, b));
+            std::copy(src, src + 4 * h, z_.row(b));
+        }
         if (t > 0) {  // h_{-1} = 0 contributes nothing at t = 0
             quantize_activations(h_prev_, qh_);
             qgemm_nt(qh_, whq_, z_);

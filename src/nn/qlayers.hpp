@@ -67,22 +67,38 @@ class QuantizedLinear
 
 /**
  * Int8 LSTM: both gate GEMMs (x * Wx and h * Wh) run int8 with the
- * inputs re-quantized dynamically each step. The x * Wx GEMM adds an
+ * inputs quantized dynamically per row. The x * Wx projection runs
+ * once per distinct input row, outside the recurrence, and adds an
  * error-feedback residual pass — the fp32 leftover of the first
  * quantization is itself quantized on a ~255x finer per-row grid and
  * accumulated by a second qgemm, giving ~16 effective activation
  * bits from pure int8 kernels on the concatenated (heterogeneous)
- * input rows. The fp32 tail is the trainable LSTM's own gate kernel
- * (nn::lstm_gate_row: bias + sigmoid/tanh + cell update), charged to
- * the same `nn.lstm_gate` op class.
+ * input rows. The recurrence re-quantizes h each step. The fp32 tail
+ * is the trainable LSTM's own gate kernel (nn::lstm_gate_row: bias +
+ * sigmoid/tanh + cell update), charged to the same `nn.lstm_gate` op
+ * class.
  */
 class QuantizedLstm
 {
   public:
     explicit QuantizedLstm(const Lstm &src);
 
-    /** Run the sequence from zero state; h_last = h_T (batch, H). */
-    void forward(const std::vector<Matrix> &xs, Matrix &h_last);
+    /**
+     * proj(rows, 4H) = int8 x Wx for distinct input rows x (rows,
+     * in_dim): the quantized pass, then the residual pass, into a
+     * zeroed buffer. Per-row exact: quantization and qgemm_nt are
+     * both row-local.
+     */
+    void project_inputs(const Matrix &x, Matrix &proj);
+
+    /**
+     * Run the sequence from zero state over projected inputs (see
+     * Lstm::forward_inference): step t of sample b starts from
+     * z = proj.row(rows.at(t, b)), then only h * Wh and the gate
+     * kernel run. h_last = h_T (rows.batch, H).
+     */
+    void forward(const Matrix &proj, const StepRows &rows,
+                 Matrix &h_last);
 
     std::size_t in_dim() const { return wxq_.cols(); }
     std::size_t hidden() const { return whq_.cols(); }

@@ -83,6 +83,13 @@ PrefetchServer::PrefetchServer(std::vector<EngineRung> rungs,
 SubmitResult
 PrefetchServer::submit(PrefetchRequest req)
 {
+    if (req.page.size() != req.pc.size() ||
+        req.offset.size() != req.pc.size())
+        throw std::invalid_argument(
+            "PrefetchServer::submit: window lengths differ (pc " +
+            std::to_string(req.pc.size()) + ", page " +
+            std::to_string(req.page.size()) + ", offset " +
+            std::to_string(req.offset.size()) + ")");
     req.arrival_tick = tick_++;
     if (cfg_.deadline_ticks != 0)
         req.deadline_tick = req.arrival_tick + cfg_.deadline_ticks;

@@ -113,6 +113,9 @@ class PrefetchServer
      * batches synchronously once `max_batch` requests are pending,
      * unless an injected stall holds the dispatcher. @return the
      * typed admission outcome; shed requests get NO response.
+     * @throws std::invalid_argument when the pc, page and offset
+     *         windows differ in length (nothing is queued and no
+     *         tick elapses).
      */
     SubmitResult submit(PrefetchRequest req);
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -198,6 +199,102 @@ TEST(Ops, GemmKernelsMatchReferenceOnOddShapes)
                 ASSERT_NO_FATAL_FAILURE(expect_rel_close(c, ref))
                     << "nt m=" << m << " n=" << n << " k=" << k;
             }
+}
+
+enum class GemmVariant
+{
+    Nn,
+    Tn,
+    Nt
+};
+
+/** c += A B through `v`, from the logical A (m,k) and B (k,n). */
+void
+run_gemm(GemmVariant v, bool ref, const Matrix &a, const Matrix &b,
+         Matrix &c)
+{
+    switch (v) {
+      case GemmVariant::Nn:
+        (ref ? gemm_nn_ref : gemm_nn)(a, b, c);
+        break;
+      case GemmVariant::Tn:
+        (ref ? gemm_tn_ref : gemm_tn)(transpose(a), b, c);
+        break;
+      case GemmVariant::Nt:
+        (ref ? gemm_nt_ref : gemm_nt)(a, transpose(b), c);
+        break;
+    }
+}
+
+/** The rows idx[0], idx[1], ... of m, in that order. */
+Matrix
+select_rows(const Matrix &m, const std::vector<std::size_t> &idx)
+{
+    Matrix out(idx.size(), m.cols());
+    for (std::size_t i = 0; i < idx.size(); ++i)
+        std::copy(m.row(idx[i]), m.row(idx[i]) + m.cols(), out.row(i));
+    return out;
+}
+
+bool
+same_bits(const float *x, const float *y, std::size_t n)
+{
+    return std::memcmp(x, y, n * sizeof(float)) == 0;
+}
+
+/**
+ * The row-invariance contract (ops.hpp) the deduplicated LSTM input
+ * projection relies on: every output row of gemm_nn/tn/nt is
+ * bit-identical whether computed alone (m = 1, the one-row tile), in
+ * the full batch (MR-row tiles, ragged edges) or at another position
+ * of a row-permuted batch. m covers every MR-tile remainder; n covers
+ * the NR and wide one-row tiles and their ragged edges. C starts
+ * random so the accumulate is exercised too.
+ */
+TEST(Ops, GemmRowsAreBatchInvariant)
+{
+    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33};
+    const std::size_t ks[] = {1, 7, 64, 65};
+    const std::size_t ns[] = {5, 32, 33, 128, 257};
+    const GemmVariant variants[] = {GemmVariant::Nn, GemmVariant::Tn,
+                                    GemmVariant::Nt};
+    Rng rng(1234);
+    for (const std::size_t m : ms)
+        for (const std::size_t k : ks)
+            for (const std::size_t n : ns)
+                for (const GemmVariant v : variants) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "variant " << static_cast<int>(v)
+                                 << " m=" << m << " k=" << k
+                                 << " n=" << n);
+                    const auto a = random_matrix(m, k, rng);
+                    const auto b = random_matrix(k, n, rng);
+                    const auto c0 = random_matrix(m, n, rng);
+                    Matrix c = c0;
+                    Matrix ref = c0;
+                    run_gemm(v, false, a, b, c);
+                    run_gemm(v, true, a, b, ref);
+                    ASSERT_NO_FATAL_FAILURE(expect_rel_close(c, ref));
+
+                    for (std::size_t i = 0; i < m; ++i) {
+                        Matrix ci = select_rows(c0, {i});
+                        run_gemm(v, false, select_rows(a, {i}), b, ci);
+                        ASSERT_TRUE(same_bits(ci.row(0), c.row(i), n))
+                            << "row " << i << " alone";
+                    }
+
+                    std::vector<std::size_t> perm(m);
+                    for (std::size_t i = 0; i < m; ++i)
+                        perm[i] = i;
+                    for (std::size_t i = m; i > 1; --i)
+                        std::swap(perm[i - 1], perm[rng.next_below(i)]);
+                    Matrix cp = select_rows(c0, perm);
+                    run_gemm(v, false, select_rows(a, perm), b, cp);
+                    for (std::size_t i = 0; i < m; ++i)
+                        ASSERT_TRUE(
+                            same_bits(cp.row(i), c.row(perm[i]), n))
+                            << "row " << perm[i] << " at position " << i;
+                }
 }
 
 TEST(Ops, AddAxpyScale)

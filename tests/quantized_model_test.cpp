@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -107,10 +108,24 @@ TEST(QuantizedLayers, LstmTracksFp32)
     std::vector<Matrix> xs;
     for (std::size_t t = 0; t < 4; ++t)
         xs.push_back(random_matrix(6, 16, 1.0f, 40 + t));
+    // The int8 LSTM takes its inputs as distinct rows plus a
+    // (t, b) -> row map; here every (t, b) is its own row.
+    Matrix x(4 * 6, 16);
+    nn::StepRows rows;
+    rows.batch = 6;
+    for (std::size_t t = 0; t < 4; ++t) {
+        for (std::size_t b = 0; b < 6; ++b) {
+            std::copy(xs[t].row(b), xs[t].row(b) + 16,
+                      x.row(t * 6 + b));
+            rows.index.push_back(static_cast<std::uint32_t>(t * 6 + b));
+        }
+    }
     Matrix h_fp;
     Matrix h_q;
+    Matrix proj;
     lstm.forward(xs, h_fp);
-    qlstm.forward(xs, h_q);
+    qlstm.project_inputs(x, proj);
+    qlstm.forward(proj, rows, h_q);
     ASSERT_EQ(h_q.rows(), 6u);
     ASSERT_EQ(h_q.cols(), 24u);
     for (std::size_t i = 0; i < h_fp.size(); ++i)

@@ -355,6 +355,36 @@ TEST(PrefetchServerTest, ZeroWindowRequestStillServed)
                   StubPredictor::expected_line(0, j, 0x77));
 }
 
+TEST(PrefetchServerTest, SubmitRejectsMismatchedWindowLengths)
+{
+    StubPredictor pred(4);
+    ServeConfig sc;
+    sc.max_batch = 1;
+    PrefetchServer server(pred, sc);
+    PrefetchRequest short_pc = make_request(0, 0, 4, 10, 1);
+    short_pc.pc.pop_back();
+    PrefetchRequest long_page = make_request(0, 1, 4, 10, 2);
+    long_page.page.push_back(10);
+    PrefetchRequest short_offset = make_request(0, 2, 4, 10, 3);
+    short_offset.offset.pop_back();
+    EXPECT_THROW(server.submit(short_pc), std::invalid_argument);
+    EXPECT_THROW(server.submit(long_page), std::invalid_argument);
+    EXPECT_THROW(server.submit(short_offset), std::invalid_argument);
+    // Nothing was queued or answered, and no tick elapsed: the next
+    // valid request still arrives at tick 0.
+    EXPECT_EQ(server.pending(), 0u);
+    EXPECT_TRUE(server.take_ready().empty());
+    EXPECT_EQ(server.submit(make_request(0, 3, 4, 10, 4)),
+              SubmitResult::Accepted);
+    const auto ready = server.take_ready();
+    ASSERT_EQ(ready.size(), 1u);
+    EXPECT_EQ(ready[0].seq, 3u);
+    EXPECT_EQ(ready[0].wait_ticks, 1u);
+    StatRegistry reg;
+    server.export_stats(reg);
+    EXPECT_EQ(reg.counter("serve.requests"), 1u);
+}
+
 TEST(PrefetchServerTest, QueueCapacityShedsAndCounts)
 {
     StubPredictor pred(4);

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: build + run the tier-1 suite under the release preset
 # (warnings as errors), then again under the asan-ubsan preset (Debug +
-# ASan + UBSan); run the nn/int8/golden suites in a portable
+# ASan + UBSan); run the nn/int8/golden/serve suites in a portable
 # (non -march=native) build; and validate bench binaries'
 # --stats_json documents against the schema checker. Run from the
 # repository root. Fails on first error.
@@ -74,26 +74,41 @@ qgemm_out=$(./build/bench/bench_micro_nn --op=qgemm \
     --benchmark_min_time=0.05 2>&1)
 printf '%s\n' "$qgemm_out" | grep -q "BM_QgemmNtVoyager"
 
-# LSTM gate kernel smoke (DESIGN.md section 5.10): the vectorised gate
-# pass and its libm oracle must both run at the serving shape.
+# GEMM smoke (DESIGN.md sections 5.10 and 5.20): the packed kernels,
+# including the one-row tile at the batch-1 recurrent shape, must run.
+echo "== bench_micro_nn gemm smoke =="
+gemm_out=$(./build/bench/bench_micro_nn --op=gemm \
+    --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$gemm_out" | grep -q "BM_GemmNnRows/1 "
+printf '%s\n' "$gemm_out" | grep -q "BM_GemmNnRows/8 "
+
+# LSTM smoke (DESIGN.md sections 5.10 and 5.20): the vectorised gate
+# pass and its libm oracle at the serving shape, and a whole model
+# predict (input assembly, hoisted projection, recurrence, heads) at
+# batch 1 and 8.
 echo "== bench_micro_nn lstm smoke =="
 lstm_out=$(./build/bench/bench_micro_nn --op=lstm \
     --benchmark_min_time=0.05 2>&1)
 printf '%s\n' "$lstm_out" | grep -q "BM_LstmGateRow "
 printf '%s\n' "$lstm_out" | grep -q "BM_LstmGateRowRef"
+printf '%s\n' "$lstm_out" | grep -q "BM_LstmVoyagerPredict/1 "
+printf '%s\n' "$lstm_out" | grep -q "BM_LstmVoyagerPredict/8 "
 
 # Portable build (DESIGN.md section 5.10): without -march=native the
 # 64-byte vector type of the GEMM tile and the gate kernel lowers to
-# SSE. The nn and int8 suites and every golden must pass there too,
-# warnings as errors (a vector passed by value would trip -Wpsabi).
-echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden =="
+# SSE. The nn and int8 suites, every golden and the serve suite (whose
+# BatchEquivalence pins the one-row GEMM tile to the same bits as the
+# MR-row tile) must pass there too, warnings as errors (a vector
+# passed by value would trip -Wpsabi).
+echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden, serve =="
 cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release \
     -DVOYAGER_NATIVE=OFF -DVOYAGER_WERROR=ON
 cmake --build build-portable -j1 \
-    --target test_nn test_quantized test_golden
+    --target test_nn test_quantized test_golden test_serve
 ./build-portable/tests/test_nn
 ./build-portable/tests/test_quantized
 ./build-portable/tests/test_golden
+./build-portable/tests/test_serve
 
 # Flat-hash smoke (DESIGN.md section 5.15): tiny key counts — this
 # proves the sweeps execute and emit a schema-valid micro_hash.*
