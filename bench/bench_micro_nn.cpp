@@ -1,8 +1,8 @@
 /**
  * @file
  * Micro-benchmarks of the NN substrate (google-benchmark): GEMM,
- * LSTM step, a whole model predict, MoE attention, embedding gather,
- * BCE loss — the kernels
+ * LSTM step, a whole model predict and training step, Adam, MoE
+ * attention, embedding gather, BCE loss — the kernels
  * whose costs drive §5.4's training/inference overhead numbers.
  */
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "nn/adam.hpp"
 #include "nn/attention.hpp"
 #include "nn/hierarchical_softmax.hpp"
 #include "nn/layers.hpp"
@@ -146,6 +147,23 @@ BENCHMARK(BM_GemmNtShaped<nn::gemm_nt>)
 BENCHMARK(BM_GemmNtShaped<nn::gemm_nt_ref>)
     ->Name("BM_GemmNtRefVoyager")
     ->Apply(GemmVoyagerShapes);
+
+// The input-gradient GEMMs of Lstm::backward at the training shape
+// (batch 64, 4 * 64 gate columns): dz Wx^T (n = in_dim 72) and dz Wh^T
+// (n = 64). BM_GemmNnShaped reads the once-per-backward transposed
+// weights in place; BM_GemmNtShaped is the per-step gemm_nt on the
+// untransposed weights it replaced (same bits). items/s is FLOP/s.
+void
+GemmLstmBackwardShapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({64, 256, 72})->Args({64, 256, 64});
+}
+BENCHMARK(BM_GemmNnShaped<nn::gemm_nn>)
+    ->Name("BM_GemmNnShaped")
+    ->Apply(GemmLstmBackwardShapes);
+BENCHMARK(BM_GemmNtShaped<nn::gemm_nt>)
+    ->Name("BM_GemmNtShaped")
+    ->Apply(GemmLstmBackwardShapes);
 
 // The recurrent h * Wh GEMM of an inference step at the serving shape
 // (k = lstm_units 64, n = 4 * 64): rows 1 is the batch-1 predict on
@@ -306,34 +324,51 @@ BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row>)
 BENCHMARK(BM_LstmGateRowShaped<nn::lstm_gate_row_ref>)
     ->Name("BM_LstmGateRowRef");
 
-// A whole VoyagerModel::predict at the repository benchmark's scaled
-// model (seq 8, pc 8, page 32, 4 experts, 64 units; xalancbmk's 276
-// page tokens): embedding, attention, projection, recurrence, heads
-// and ranking. Batch 1 is one prefetch decision; batch 8 holds one
-// tenant's consecutive windows, which share 7 of 8 timesteps with
-// their neighbours. items/s is predictions.
-void
-BM_LstmVoyagerPredict(benchmark::State &state)
+// The repository benchmark's scaled model (seq 8, pc 8, page 32, 4
+// experts, 64 units) over xalancbmk's vocabulary (276 page tokens).
+constexpr std::int32_t kScaledPcs = 64;
+constexpr std::int32_t kScaledPages = 276;
+constexpr std::int32_t kScaledOffsets = 64;
+
+core::VoyagerConfig
+scaled_voyager_config()
 {
-    const auto batch = static_cast<std::size_t>(state.range(0));
     core::VoyagerConfig cfg;
     cfg.seq_len = 8;
     cfg.pc_embed_dim = 8;
     cfg.page_embed_dim = 32;
     cfg.num_experts = 4;
     cfg.lstm_units = 64;
-    const std::int32_t pcs = 64;
-    const std::int32_t pages = 276;
-    const std::int32_t offsets = 64;
-    core::VoyagerModel model(cfg, pcs, pages, offsets);
+    return cfg;
+}
+
+std::int32_t
+draw(Rng &rng, std::int32_t bound)
+{
+    return static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(bound)));
+}
+
+// A whole VoyagerModel::predict on the scaled model: embedding,
+// attention, projection, recurrence, heads and ranking. Batch 1 is
+// one prefetch decision; batch 8 holds one tenant's consecutive
+// windows, which share 7 of 8 timesteps with their neighbours.
+// items/s is predictions.
+void
+BM_LstmVoyagerPredict(benchmark::State &state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    const core::VoyagerConfig cfg = scaled_voyager_config();
+    core::VoyagerModel model(cfg, kScaledPcs, kScaledPages,
+                             kScaledOffsets);
     Rng rng(16);
     std::vector<std::int32_t> pc(batch + cfg.seq_len);
     std::vector<std::int32_t> page(pc.size());
     std::vector<std::int32_t> offset(pc.size());
     for (std::size_t i = 0; i < pc.size(); ++i) {
-        pc[i] = static_cast<std::int32_t>(rng.next_below(pcs));
-        page[i] = static_cast<std::int32_t>(rng.next_below(pages));
-        offset[i] = static_cast<std::int32_t>(rng.next_below(offsets));
+        pc[i] = draw(rng, kScaledPcs);
+        page[i] = draw(rng, kScaledPages);
+        offset[i] = draw(rng, kScaledOffsets);
     }
     core::VoyagerBatch b;
     b.batch = batch;
@@ -352,6 +387,92 @@ BM_LstmVoyagerPredict(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_LstmVoyagerPredict)->Arg(1)->Arg(8);
+
+// One VoyagerModel::train_step on the scaled model at the repository
+// benchmark's train_online settings (learning rate 3e-2, dropout
+// keep 0.9): forward, loss, backward through the heads, both LSTMs
+// and the attention, then Adam. Iterations cycle over 16 seeded
+// batches of random windows, each sample labelled with one or two
+// (page, offset) pairs drawn from the whole vocabulary. items/s is
+// training samples.
+void
+BM_TrainStep(benchmark::State &state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    core::VoyagerConfig cfg = scaled_voyager_config();
+    cfg.batch_size = batch;
+    cfg.learning_rate = 3e-2;
+    cfg.dropout_keep = 0.9f;
+    core::VoyagerModel model(cfg, kScaledPcs, kScaledPages,
+                             kScaledOffsets);
+    Rng rng(17);
+    std::vector<core::VoyagerBatch> batches(16);
+    for (core::VoyagerBatch &b : batches) {
+        b.batch = batch;
+        b.seq = cfg.seq_len;
+        for (std::size_t i = 0; i < batch * cfg.seq_len; ++i) {
+            b.pc.push_back(draw(rng, kScaledPcs));
+            b.page.push_back(draw(rng, kScaledPages));
+            b.offset.push_back(draw(rng, kScaledOffsets));
+        }
+        b.labels.resize(batch);
+        for (auto &labels : b.labels) {
+            const std::size_t n = 1 + rng.next_below(2);
+            for (std::size_t l = 0; l < n; ++l)
+                labels.push_back({draw(rng, kScaledPages),
+                                  draw(rng, kScaledOffsets)});
+        }
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const double loss = model.train_step(batches[next]);
+        benchmark::DoNotOptimize(loss);
+        next = (next + 1) % batches.size();
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_TrainStep)->Arg(64);
+
+// One Adam::step over the scaled model's dense parameters (both
+// LSTMs' wx, wh and bias and both heads; 92k floats) with the default
+// clip on. Adam::step zeroes the gradients, so each iteration first
+// copies fixed ones back in: a memcpy-speed pass beside the update's
+// norm, sqrt and divide. items/s is parameters updated.
+void
+BM_AdamStep(benchmark::State &state)
+{
+    const std::size_t in = 72;
+    const std::size_t units = 64;
+    const std::size_t shapes[][2] = {
+        {in, 4 * units},    {units, 4 * units}, {1, 4 * units},
+        {in, 4 * units},    {units, 4 * units}, {1, 4 * units},
+        {units, kScaledPages}, {1, kScaledPages},
+        {units, kScaledOffsets}, {1, kScaledOffsets}};
+    std::vector<nn::Param> params;
+    std::vector<Matrix> grads;
+    Rng rng(18);
+    for (const auto &shape : shapes) {
+        params.emplace_back(shape[0], shape[1]);
+        grads.emplace_back(shape[0], shape[1]);
+        nn::uniform_init(params.back().value, 0.1f, rng);
+        nn::uniform_init(grads.back(), 0.1f, rng);
+    }
+    nn::Adam opt;
+    std::size_t count = 0;
+    for (nn::Param &p : params) {
+        opt.add_param(&p);
+        count += p.size();
+    }
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < params.size(); ++i)
+            std::copy(grads[i].data(), grads[i].data() + grads[i].size(),
+                      params[i].grad.data());
+        opt.step();
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_AdamStep);
 
 void
 BM_MoeAttention(benchmark::State &state)
@@ -531,6 +652,8 @@ op_filter(const std::string &op)
         return "BM_Gemm";
     if (op == "lstm")
         return "BM_Lstm";
+    if (op == "train")
+        return "BM_TrainStep|BM_AdamStep";
     if (op == "attention")
         return "BM_MoeAttention";
     if (op == "embedding")

@@ -9,6 +9,39 @@
 
 namespace voyager::nn {
 
+namespace {
+
+/** One step's per-element update coefficients. */
+struct AdamCoeffs
+{
+    float lr_t;  ///< bias-corrected learning rate
+    float b1;
+    float b2;
+    float eps;
+};
+
+/**
+ * The Adam update of n contiguous parameters; zeroes their gradients.
+ * The spans never overlap, and with math errno off (this library's
+ * build, src/nn/CMakeLists.txt) std::sqrt needs no library call, so
+ * the loop vectorises. Vector sqrt and division are correctly
+ * rounded like their scalar forms, so every element gets the bits
+ * the scalar loop gives it.
+ */
+void
+update_span(float *__restrict w, float *__restrict g, float *__restrict m,
+            float *__restrict v, std::size_t n, AdamCoeffs k)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        m[i] = k.b1 * m[i] + (1.0f - k.b1) * g[i];
+        v[i] = k.b2 * v[i] + (1.0f - k.b2) * g[i] * g[i];
+        w[i] -= k.lr_t * m[i] / (std::sqrt(v[i]) + k.eps);
+        g[i] = 0.0f;
+    }
+}
+
+}  // namespace
+
 Adam::Adam(const AdamConfig &cfg) : cfg_(cfg) {}
 
 void
@@ -75,32 +108,20 @@ Adam::step()
     ++t_;
     const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
     const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-    const float lr_t =
-        static_cast<float>(cfg_.lr * std::sqrt(bc2) / bc1);
-    const auto b1 = static_cast<float>(cfg_.beta1);
-    const auto b2 = static_cast<float>(cfg_.beta2);
-    const auto eps = static_cast<float>(cfg_.eps);
-
-    auto update_span = [&](float *w, float *g, float *m, float *v,
-                           std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            m[i] = b1 * m[i] + (1.0f - b1) * g[i];
-            v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
-            w[i] -= lr_t * m[i] / (std::sqrt(v[i]) + eps);
-            g[i] = 0.0f;
-        }
-    };
-
+    const AdamCoeffs k{static_cast<float>(cfg_.lr * std::sqrt(bc2) / bc1),
+                       static_cast<float>(cfg_.beta1),
+                       static_cast<float>(cfg_.beta2),
+                       static_cast<float>(cfg_.eps)};
     for (auto &s : dense_) {
         update_span(s.param->value.data(), s.param->grad.data(),
-                    s.m.data(), s.v.data(), s.param->value.size());
+                    s.m.data(), s.v.data(), s.param->value.size(), k);
     }
     for (auto &s : sparse_) {
         Param &p = s.emb->param();
         const std::size_t dim = p.value.cols();
         for (const auto row : s.emb->touched()) {
             update_span(p.value.row(row), p.grad.row(row), s.m.row(row),
-                        s.v.row(row), dim);
+                        s.v.row(row), dim, k);
         }
         s.emb->clear_touched();
     }

@@ -94,6 +94,11 @@ Linear::forward(const Matrix &x, Matrix &y)
 void
 Linear::backward(const Matrix &dy, Matrix &dx)
 {
+    // A default-constructed cache has no columns; forward() always
+    // leaves in_dim() of them, even for an empty batch.
+    if (cached_x_.cols() != in_dim())
+        throw std::logic_error("nn::Linear::backward: no cached input "
+                               "(forward() has not run)");
     assert(dy.rows() == cached_x_.rows());
     assert(dy.cols() == w_.value.cols());
     gemm_tn(cached_x_, dy, w_.grad);

@@ -81,6 +81,7 @@ class Linear
     /**
      * Accumulate dW, db from dy and the cached input; dx (same shape
      * as the cached input) receives the input gradient (overwritten).
+     * @throws std::logic_error when forward() has not run
      */
     void backward(const Matrix &dy, Matrix &dx);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
@@ -82,7 +83,7 @@ Lstm::forward_inference(const Matrix &proj, const StepRows &rows,
 
     // Serving path: no per-step caches, so memory stays
     // O(batch x hidden) for any sequence length. Poison the training
-    // caches — backward() asserts on them.
+    // caches — backward() throws on them.
     xs_ = nullptr;
     steps_ = 0;
 
@@ -116,16 +117,49 @@ Lstm::forward_inference(const Matrix &proj, const StepRows &rows,
     h_last = h_prev;
 }
 
+namespace {
+
+/** out = w^T. */
+void
+transpose_into(const Matrix &w, Matrix &out)
+{
+    out.resize_uninit(w.cols(), w.rows());  // every element is written
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+        const float *src = w.row(r);
+        for (std::size_t c = 0; c < w.cols(); ++c)
+            out.at(c, r) = src[c];
+    }
+}
+
+}  // namespace
+
 void
 Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
 {
-    assert(xs_ != nullptr && steps_ > 0);
+    if (xs_ == nullptr || steps_ == 0)
+        throw std::logic_error("nn::Lstm::backward: no training "
+                               "forward() to backpropagate (none ran, "
+                               "or forward_inference() replaced it)");
     const std::vector<Matrix> &xs = *xs_;
     const std::size_t T = steps_;
     assert(xs.size() == T);
     const std::size_t batch = xs[0].rows();
     const std::size_t h = hidden();
     assert(dh_last.rows() == batch && dh_last.cols() == h);
+
+    // The input gradients need dz Wx^T and dz Wh^T at every step.
+    // Transposing the weights once here lets each step's GEMM read
+    // its B operand in place instead of re-packing W^T per step; the
+    // panels hold the same values in the same order, so the products
+    // have the same bits as gemm_nt(dz, W). Per-call locals, not
+    // members or thread-local scratch: serving-only models never hold
+    // them, and the freed blocks are reused, which keeps peak RSS
+    // lower than long-lived buffers did (DESIGN.md decision 21).
+    Matrix wx_t;
+    Matrix wh_t;
+    transpose_into(wx_.value, wx_t);
+    transpose_into(wh_.value, wh_t);
+    const std::vector<float> zero_row(h, 0.0f);  // c_{-1} = 0 at t = 0
 
     dxs.assign(T, Matrix());
     Matrix dh = dh_last;
@@ -134,53 +168,29 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
     Matrix tanh_c;
 
     for (std::size_t t = T; t-- > 0;) {
-        const Matrix &gates = gates_[t];
-        const Matrix &c = cs_[t];
-        const Matrix *c_prev = t > 0 ? &cs_[t - 1] : nullptr;
-
         {
             ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
             // tanh(c_t) with the forward kernel's tanh, so this is the
             // gradient of the function forward() computed.
-            tanh_c = c;
+            tanh_c = cs_[t];
             tanh_inplace(tanh_c);
             for (std::size_t r = 0; r < batch; ++r) {
-                const float *zr = gates.row(r);
-                const float *tcr = tanh_c.row(r);
-                const float *cpr = c_prev ? c_prev->row(r) : nullptr;
-                const float *dhr = dh.row(r);
-                float *dcr = dc.row(r);
-                float *dzr = dz.row(r);
-                for (std::size_t j = 0; j < h; ++j) {
-                    const float gi = zr[j];
-                    const float gf = zr[h + j];
-                    const float gg = zr[2 * h + j];
-                    const float go = zr[3 * h + j];
-                    const float tc = tcr[j];
-                    const float d_h = dhr[j];
-                    const float d_o = d_h * tc;
-                    float d_c = dcr[j] + d_h * go * (1.0f - tc * tc);
-                    const float d_i = d_c * gg;
-                    const float d_f = d_c * (cpr ? cpr[j] : 0.0f);
-                    const float d_g = d_c * gi;
-                    dcr[j] = d_c * gf;  // flows to step t-1
-                    dzr[j] = d_i * gi * (1.0f - gi);
-                    dzr[h + j] = d_f * gf * (1.0f - gf);
-                    dzr[2 * h + j] = d_g * (1.0f - gg * gg);
-                    dzr[3 * h + j] = d_o * go * (1.0f - go);
-                }
+                lstm_gate_backward_row(
+                    gates_[t].row(r), tanh_c.row(r),
+                    t > 0 ? cs_[t - 1].row(r) : zero_row.data(),
+                    dh.row(r), dc.row(r), dz.row(r), h);
             }
         }
 
         gemm_tn(xs[t], dz, wx_.grad);
         bias_backward(dz, b_.grad);
         dxs[t].resize(batch, in_dim());
-        gemm_nt(dz, wx_.value, dxs[t]);
+        gemm_nn(dz, wx_t, dxs[t]);
 
         if (t > 0) {
             gemm_tn(hs_[t - 1], dz, wh_.grad);
-            dh.resize(batch, h);  // zero-fills: gemm_nt accumulates
-            gemm_nt(dz, wh_.value, dh);
+            dh.resize(batch, h);  // zero-fills: gemm_nn accumulates
+            gemm_nn(dz, wh_t, dh);
         }
     }
 }

@@ -59,6 +59,8 @@ class Lstm
      * Backprop through time from a gradient on h_T.
      * Accumulates parameter gradients; dxs receives per-step input
      * gradients (resized to match the cached forward inputs).
+     * @throws std::logic_error when no training forward() precedes
+     *         it (none ran, or forward_inference() ran since)
      */
     void backward(const Matrix &dh_last, std::vector<Matrix> &dxs);
 
@@ -79,7 +81,7 @@ class Lstm
      * keeps O(batch x hidden) state for any sequence length.
      * Bit-identical to forward() on the per-step inputs — z is the
      * same (0 + x Wx) + h Wh — but it invalidates the training
-     * caches: backward() must not be called until the next forward().
+     * caches: backward() throws until the next forward().
      *
      * @param proj project_inputs() of the distinct input rows
      * @param rows (t, b) -> row of `proj`

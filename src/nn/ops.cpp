@@ -60,18 +60,20 @@ namespace {
 // ---------------------------------------------------------------------
 // Packed register-blocked GEMM microkernel (single core).
 //
-// GotoBLAS-style: A is packed into MR-row panels (column-major within
-// the panel), B into NR-column panels (row-major within the panel), so
-// the microkernel streams both with unit stride and keeps an MR x NR
-// accumulator tile in vector registers across the whole k loop. The
-// tile is expressed with ISA-agnostic GCC/Clang vector extensions
-// (the compiler legalises them for whatever -march is active, so the
-// same source serves AVX-512, AVX2 and scalar targets); each k step
-// is one broadcast of an A element FMA'd against B vectors. Panel
-// edges are zero-padded: padded lanes compute zeros and the
-// write-back masks them off, which keeps the kernel branch-free for
-// dense activations (no data-dependent zero-skip — that defeated
-// vectorisation in the seed kernels).
+// GotoBLAS-style: the microkernel keeps an MR x NR accumulator tile in
+// vector registers across the whole k loop, walking MR rows of op(A)
+// and NR-column panels of op(B) (row-major within the panel). Both
+// operands are read in place wherever the source layout allows: full
+// MR-row tiles of A in either orientation, and full NR-column panels
+// of a non-transposed B. Only a transposed B and the ragged edge tiles
+// are packed, zero-padded, into reused scratch. The tile is expressed
+// with ISA-agnostic GCC/Clang vector extensions (the compiler
+// legalises them for whatever -march is active, so the same source
+// serves AVX-512, AVX2 and scalar targets); each k step is one
+// broadcast of an A element FMA'd against B vectors. Padded lanes
+// compute zeros and the write-back masks them off, which keeps the
+// kernel branch-free for dense activations (no data-dependent
+// zero-skip — that defeated vectorisation in the seed kernels).
 // ---------------------------------------------------------------------
 
 constexpr std::size_t MR = 8;   ///< rows per register tile
@@ -92,62 +94,51 @@ pack_buf_b()
 }
 
 /**
- * Pack one MR-row panel of op(A) (m,k) starting at row i0:
+ * Pack the ragged last MR-row tile of op(A) (m,k), rows i0..i0+irem:
  * dst[p][i] = op(A)(i0+i, p), zero-padded to MR rows. trans selects
- * op(A) = A^T, reading A as (k,m).
+ * op(A) = A^T, reading A as (k,m). Full tiles are read in place.
  */
 void
 pack_a_tile(const Matrix &a, bool trans, std::size_t i0,
             std::size_t irem, std::size_t k, float *dst)
 {
-    if (trans) {
-        // op(A)(i, p) = A(p, i): each p reads MR contiguous floats.
-        for (std::size_t p = 0; p < k; ++p) {
-            const float *src = a.row(p) + i0;
-            float *d = dst + p * MR;
-            for (std::size_t i = 0; i < irem; ++i)
-                d[i] = src[i];
-            for (std::size_t i = irem; i < MR; ++i)
-                d[i] = 0.0f;
-        }
-    } else {
-        // Column walk over A's rows i0..i0+irem.
-        for (std::size_t p = 0; p < k; ++p) {
-            float *d = dst + p * MR;
-            for (std::size_t i = 0; i < irem; ++i)
-                d[i] = a.at(i0 + i, p);
-            for (std::size_t i = irem; i < MR; ++i)
-                d[i] = 0.0f;
-        }
+    for (std::size_t p = 0; p < k; ++p) {
+        float *d = dst + p * MR;
+        for (std::size_t i = 0; i < irem; ++i)
+            d[i] = trans ? a.at(p, i0 + i) : a.at(i0 + i, p);
+        for (std::size_t i = irem; i < MR; ++i)
+            d[i] = 0.0f;
     }
 }
 
 /**
- * Pack one NR-col panel of op(B) (k,n) starting at column j0:
- * dst[p][j] = op(B)(p, j0+j), zero-padded to NR columns. trans
+ * Pack one column panel of op(B) (k,n) starting at column j0, `width`
+ * floats per row (NR, or VL for a narrow ragged edge):
+ * dst[p][j] = op(B)(p, j0+j), zero-padded to `width` columns. trans
  * selects op(B) = B^T, reading B as (n,k).
  */
 void
 pack_b_tile(const Matrix &b, bool trans, std::size_t j0,
-            std::size_t jrem, std::size_t k, float *dst)
+            std::size_t jrem, std::size_t k, std::size_t width,
+            float *dst)
 {
     if (trans) {
         // op(B)(p, j) = B(j, p): column walk over B's rows.
         for (std::size_t p = 0; p < k; ++p) {
-            float *d = dst + p * NR;
+            float *d = dst + p * width;
             for (std::size_t j = 0; j < jrem; ++j)
                 d[j] = b.at(j0 + j, p);
-            for (std::size_t j = jrem; j < NR; ++j)
+            for (std::size_t j = jrem; j < width; ++j)
                 d[j] = 0.0f;
         }
     } else {
-        // Contiguous NR-float strips of each row of B.
+        // Contiguous strips of each row of B.
         for (std::size_t p = 0; p < k; ++p) {
             const float *src = b.row(p) + j0;
-            float *d = dst + p * NR;
+            float *d = dst + p * width;
             for (std::size_t j = 0; j < jrem; ++j)
                 d[j] = src[j];
-            for (std::size_t j = jrem; j < NR; ++j)
+            for (std::size_t j = jrem; j < width; ++j)
                 d[j] = 0.0f;
         }
     }
@@ -160,32 +151,41 @@ constexpr std::size_t VL = 16;        ///< lanes per vector
 constexpr std::size_t NV = NR / VL;   ///< vectors per tile row
 
 /**
- * MR x NR register tile: C[0:mrem,0:nrem] += Apanel * Bpanel. The
- * panels are walked with explicit strides so full tiles can be read
- * straight out of the source matrices (stride = leading dimension)
- * instead of packed copies; packed panels use stride MR / NR. Callers
- * guarantee MR (NR) floats are readable at every step — ragged edge
- * tiles always come packed and zero-padded.
+ * MR x (NW * VL) register tile: C[0:mrem,0:nrem] += Apanel * Bpanel.
+ * NW is NV for an NR-column panel and 1 for a narrow ragged edge.
+ * ARows selects how the A panel is addressed: element (i, p) sits at
+ * ap[i * astride + p] when MR rows of a row-major op(A) are read in
+ * place, and at ap[p * astride + i] in a column panel (a transposed A
+ * read in place, or a packed edge tile with stride MR). B row p
+ * starts at bp + p * bstride (leading dimension in place, the panel
+ * width packed). Callers guarantee MR rows of A and NW * VL floats of
+ * B are readable at every step — ragged edge tiles always come packed
+ * and zero-padded. Every lane runs the same multiply-add sequence
+ * over p whatever the addressing and tile width, so in-place and
+ * packed operands give the same bits.
  */
+template <bool ARows, std::size_t NW>
 void
 micro_kernel(std::size_t k, const float *__restrict ap,
              std::size_t astride, const float *__restrict bp,
              std::size_t bstride, float *__restrict c, std::size_t ldc,
              std::size_t mrem, std::size_t nrem)
 {
-    vfloat acc[MR][NV] = {};
+    vfloat acc[MR][NW] = {};
     for (std::size_t p = 0; p < k; ++p) {
-        const float *__restrict arow = ap + p * astride;
         const auto *__restrict brow
             = reinterpret_cast<const vfloat *>(bp + p * bstride);
-        for (std::size_t i = 0; i < MR; ++i)
-            for (std::size_t w = 0; w < NV; ++w)
-                acc[i][w] += brow[w] * arow[i];
+        for (std::size_t i = 0; i < MR; ++i) {
+            const float av
+                = ARows ? ap[i * astride + p] : ap[p * astride + i];
+            for (std::size_t w = 0; w < NW; ++w)
+                acc[i][w] += brow[w] * av;
+        }
     }
-    if (mrem == MR && nrem == NR) {
+    if (mrem == MR && nrem == NW * VL) {
         for (std::size_t i = 0; i < MR; ++i) {
             auto *crow = reinterpret_cast<vfloat *>(c + i * ldc);
-            for (std::size_t w = 0; w < NV; ++w)
+            for (std::size_t w = 0; w < NW; ++w)
                 crow[w] += acc[i][w];
         }
     } else {
@@ -197,6 +197,32 @@ micro_kernel(std::size_t k, const float *__restrict ap,
                 crow[j] += accrow[j];
         }
     }
+}
+
+/**
+ * Every MR-row tile of one column panel of C (columns j0..j0+nrem of
+ * `c`, which points at column j0), NW vectors wide: full tiles read A
+ * in place, then the packed ragged edge tile of a_edge > 1 rows.
+ */
+template <std::size_t NW>
+void
+panel_tiles(const Matrix &a, bool a_trans, std::size_t full_m,
+            const float *edge_tile, std::size_t a_edge, std::size_t k,
+            const float *bp, std::size_t bstride, float *c,
+            std::size_t ldc, std::size_t nrem)
+{
+    const std::size_t lda = a.cols();
+    for (std::size_t i0 = 0; i0 < full_m; i0 += MR) {
+        if (a_trans)
+            micro_kernel<false, NW>(k, a.data() + i0, lda, bp, bstride,
+                                    c + i0 * ldc, ldc, MR, nrem);
+        else
+            micro_kernel<true, NW>(k, a.row(i0), lda, bp, bstride,
+                                   c + i0 * ldc, ldc, MR, nrem);
+    }
+    if (a_edge > 1)
+        micro_kernel<false, NW>(k, edge_tile, MR, bp, bstride,
+                                c + full_m * ldc, ldc, a_edge, nrem);
 }
 
 constexpr std::size_t NRW = 128;        ///< cols per wide row tile
@@ -235,14 +261,17 @@ row_kernel(std::size_t k, const float *__restrict ap, std::size_t astride,
 }
 
 /**
- * Shared driver: C += op(A) * op(B). Operands whose memory layout
- * already matches the panel layout are read in place (A when
- * transposed, B when not — both then walk contiguous MR/NR-float
- * strips per k step); only layout-mismatched operands and ragged edge
- * tiles are packed into reused thread-local scratch. A one-row tile
- * (m == 1, or a ragged last tile of one row) runs row_kernel on the
- * row in place; when B is read in place it takes NRW columns per
- * pass, enough independent accumulators to hide the FMA latency.
+ * Shared driver: C += op(A) * op(B). Full MR-row tiles of A are read
+ * in place in either orientation (rows of a row-major op(A), or
+ * MR-float column strips of a transposed one), and so are full
+ * NR-column panels of a non-transposed B. A transposed B is packed
+ * panel by panel, and ragged edge tiles are packed zero-padded, into
+ * reused thread-local scratch; a ragged last column panel of at most
+ * VL columns is packed VL wide and runs a one-vector tile instead of
+ * a padded NR-wide one. A one-row tile (m == 1, or a ragged last tile
+ * of one row) runs row_kernel on the row in place; when B is read in
+ * place it takes NRW columns per pass, enough independent
+ * accumulators to hide the FMA latency.
  */
 void
 gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
@@ -258,73 +287,66 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
     const std::size_t a_edge = m % MR;
     const std::size_t b_edge = n % NR;
     const bool row_tile = a_edge == 1;
-    // MR-row tiles; a one-row edge tile is handled by row_kernel.
-    const std::size_t tiles_m = m / MR + (a_edge > 1 ? 1 : 0);
+    const std::size_t full_m = m - a_edge;  // rows in full MR tiles
     const std::size_t tiles_n = (n + NR - 1) / NR;
-    const bool a_direct = a_trans;    // op(A) rows are contiguous in A
     const bool b_direct = !b_trans;   // op(B) rows are contiguous in B
+    // Width of the packed ragged last column panel.
+    const std::size_t edge_w = b_edge != 0 && b_edge <= VL ? VL : NR;
 
-    // Pack everything layout-mismatched; in direct mode pack only the
-    // zero-padded ragged edge tile (if any) at the buffer's start.
+    // A: only a ragged edge tile of more than one row is packed (a
+    // one-row edge is handled by row_kernel). B: pack every panel of
+    // a transposed B, else only the zero-padded ragged edge panel.
     auto &abuf = pack_buf_a();
     auto &bbuf = pack_buf_b();
-    if (!a_direct) {
-        if (abuf.size() < tiles_m * k * MR)
-            abuf.resize(tiles_m * k * MR);
-        for (std::size_t it = 0; it < tiles_m; ++it)
-            pack_a_tile(a, a_trans, it * MR,
-                        std::min(MR, m - it * MR), k,
-                        abuf.data() + it * k * MR);
-    } else if (a_edge > 1) {
+    if (a_edge > 1) {
         if (abuf.size() < k * MR)
             abuf.resize(k * MR);
-        pack_a_tile(a, a_trans, m - a_edge, a_edge, k, abuf.data());
+        pack_a_tile(a, a_trans, full_m, a_edge, k, abuf.data());
     }
     if (!b_direct) {
         if (bbuf.size() < tiles_n * k * NR)
             bbuf.resize(tiles_n * k * NR);
-        for (std::size_t jt = 0; jt < tiles_n; ++jt)
-            pack_b_tile(b, b_trans, jt * NR,
-                        std::min(NR, n - jt * NR), k,
+        for (std::size_t jt = 0; jt < tiles_n; ++jt) {
+            const std::size_t nrem = std::min(NR, n - jt * NR);
+            pack_b_tile(b, b_trans, jt * NR, nrem, k,
+                        nrem < NR ? edge_w : NR,
                         bbuf.data() + jt * k * NR);
+        }
     } else if (b_edge != 0) {
         if (bbuf.size() < k * NR)
             bbuf.resize(k * NR);
-        pack_b_tile(b, b_trans, n - b_edge, b_edge, k, bbuf.data());
+        pack_b_tile(b, b_trans, n - b_edge, b_edge, k, edge_w,
+                    bbuf.data());
     }
 
-    // NR-column panel jt of op(B): in place or packed.
-    const auto b_panel = [&](std::size_t jt, std::size_t nrem,
-                             std::size_t &bstride) -> const float * {
-        if (b_direct && nrem == NR) {
-            bstride = b.cols();
-            return b.data() + jt * NR;
-        }
-        bstride = NR;
-        return b_direct ? bbuf.data() : bbuf.data() + jt * k * NR;
+    // Column panel jt of op(B): where its rows start, their stride,
+    // and whether it is the one-vector narrow edge.
+    struct Panel
+    {
+        const float *p;
+        std::size_t stride;
+        bool narrow;
+    };
+    const auto b_panel = [&](std::size_t jt, std::size_t nrem) -> Panel {
+        if (nrem < NR)
+            return {b_direct ? bbuf.data() : bbuf.data() + jt * k * NR,
+                    edge_w, edge_w == VL};
+        if (b_direct)
+            return {b.data() + jt * NR, b.cols(), false};
+        return {bbuf.data() + jt * k * NR, NR, false};
     };
 
+    const std::size_t ldc = c.cols();
     for (std::size_t jt = 0; jt < tiles_n; ++jt) {
         const std::size_t j0 = jt * NR;
         const std::size_t nrem = std::min(NR, n - j0);
-        std::size_t bstride;
-        const float *bp = b_panel(jt, nrem, bstride);
-        for (std::size_t it = 0; it < tiles_m; ++it) {
-            const std::size_t i0 = it * MR;
-            const std::size_t mrem = std::min(MR, m - i0);
-            const float *ap;
-            std::size_t astride;
-            if (a_direct && mrem == MR) {
-                ap = a.data() + i0;
-                astride = a.cols();
-            } else {
-                ap = a_direct ? abuf.data()
-                              : abuf.data() + it * k * MR;
-                astride = MR;
-            }
-            micro_kernel(k, ap, astride, bp, bstride,
-                         c.row(i0) + j0, c.cols(), mrem, nrem);
-        }
+        const Panel bp = b_panel(jt, nrem);
+        if (bp.narrow)
+            panel_tiles<1>(a, a_trans, full_m, abuf.data(), a_edge, k,
+                           bp.p, bp.stride, c.data() + j0, ldc, nrem);
+        else
+            panel_tiles<NV>(a, a_trans, full_m, abuf.data(), a_edge, k,
+                            bp.p, bp.stride, c.data() + j0, ldc, nrem);
     }
 
     if (!row_tile)
@@ -341,9 +363,13 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
     }
     for (; j0 < n; j0 += NR) {
         const std::size_t nrem = std::min(NR, n - j0);
-        std::size_t bstride;
-        const float *bp = b_panel(j0 / NR, nrem, bstride);
-        row_kernel<NV>(k, ap, astride, bp, bstride, crow + j0, nrem);
+        const Panel bp = b_panel(j0 / NR, nrem);
+        if (bp.narrow)
+            row_kernel<1>(k, ap, astride, bp.p, bp.stride, crow + j0,
+                          nrem);
+        else
+            row_kernel<NV>(k, ap, astride, bp.p, bp.stride, crow + j0,
+                           nrem);
     }
 }
 
@@ -706,6 +732,34 @@ lstm_gate_row(float *z, const float *bias, const float *c_prev,
             std::copy(c_blk, c_blk + n, c + j);
             std::copy(h_blk, h_blk + n, h + j);
         }
+    }
+}
+
+void
+lstm_gate_backward_row(const float *__restrict z,
+                       const float *__restrict tanh_c,
+                       const float *__restrict c_prev,
+                       const float *__restrict dh, float *__restrict dc,
+                       float *__restrict dz, std::size_t hidden)
+{
+    const std::size_t n = hidden;
+    for (std::size_t j = 0; j < n; ++j) {
+        const float gi = z[j];
+        const float gf = z[n + j];
+        const float gg = z[2 * n + j];
+        const float go = z[3 * n + j];
+        const float tc = tanh_c[j];
+        const float d_h = dh[j];
+        const float d_o = d_h * tc;
+        const float d_c = dc[j] + d_h * go * (1.0f - tc * tc);
+        const float d_i = d_c * gg;
+        const float d_f = d_c * c_prev[j];
+        const float d_g = d_c * gi;
+        dc[j] = d_c * gf;  // flows to step t-1
+        dz[j] = d_i * gi * (1.0f - gi);
+        dz[n + j] = d_f * gf * (1.0f - gf);
+        dz[2 * n + j] = d_g * (1.0f - gg * gg);
+        dz[3 * n + j] = d_o * go * (1.0f - go);
     }
 }
 

@@ -26,6 +26,16 @@
  * the LSTM input projection being computed once per distinct input
  * row (VoyagerModel::predict), both rest on this.
  *
+ * GEMM contract — LAYOUT INVARIANCE
+ * ---------------------------------
+ * The bits of C depend only on the values of op(A) and op(B), not on
+ * how they are stored: `gemm_nn(A, Bt)` with Bt a materialised B^T
+ * equals `gemm_nt(A, B)` bit for bit, and `gemm_tn(At, B)` equals
+ * `gemm_nn(A, B)`. Operands read in place and packed copies feed the
+ * microkernel the same values in the same k order. Lstm::backward
+ * relies on this to transpose its weights once per call and run
+ * gemm_nn per step, with the bits of a per-step gemm_nt.
+ *
  * The `gemm_*` entry points run a packed, register-blocked microkernel
  * (single-core, auto-vectorised); the `gemm_*_ref` functions keep the
  * seed's naive loops as a slow, independently-written reference for
@@ -154,6 +164,23 @@ void tanh_inplace(Matrix &m);
  */
 void lstm_gate_row(float *z, const float *bias, const float *c_prev,
                    float *c, float *h, std::size_t hidden);
+
+/**
+ * Gradient of lstm_gate_row over one batch row, given the gate
+ * activations `z` [i f g o] (4 * hidden) the forward pass left,
+ * `tanh_c` = tanh(c_t), `c_prev` = c_{t-1} (a row of zeros at t = 0)
+ * and `dh` = dL/dh_t. `dc` holds dL/dc_t carried from step t + 1 on
+ * entry and dL/dc_{t-1} on return; `dz` (4 * hidden) receives the
+ * pre-activation gradients. No argument may alias another, which
+ * lets the loop vectorise; every element runs the same operations in
+ * the same order at any vector width.
+ */
+void lstm_gate_backward_row(const float *__restrict z,
+                            const float *__restrict tanh_c,
+                            const float *__restrict c_prev,
+                            const float *__restrict dh,
+                            float *__restrict dc, float *__restrict dz,
+                            std::size_t hidden);
 
 /** Seed-era libm gate loop (same contract); reference for tests and
  *  benchmarks. */

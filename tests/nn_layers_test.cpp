@@ -1,12 +1,18 @@
 /**
  * @file
  * Tests for layers (Embedding, Linear, Dropout, losses, Adam,
- * quantize/prune, serialize) at the behavioural level.
+ * quantize/prune, serialize, LSTM) at the behavioural level, plus
+ * bit-for-bit pins of the vectorised Adam update and LSTM backward
+ * pass against scalar, per-step references.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/adam.hpp"
 #include "nn/layers.hpp"
@@ -63,6 +69,42 @@ TEST(Linear, ForwardMatchesManual)
     l.forward(x, y);
     EXPECT_NEAR(y.at(0, 0), 1 * 1 + 2 * 3 + 0.5f, 1e-5f);
     EXPECT_NEAR(y.at(0, 1), 1 * 2 + 2 * 4, 1e-5f);
+}
+
+bool
+same_bits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** Run `f`, expecting std::logic_error whose message names `layer`. */
+template <class F>
+void
+expect_logic_error_naming(F f, const std::string &layer)
+{
+    try {
+        f();
+        FAIL() << "expected std::logic_error";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(layer), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Linear, BackwardWithoutForwardThrows)
+{
+    Rng rng(8);
+    Linear lin(3, 2, rng);
+    Matrix dy(1, 2, 1.0f);
+    Matrix dx;
+    expect_logic_error_naming([&] { lin.backward(dy, dx); }, "Linear");
+    Matrix x(1, 3, 0.5f);
+    Matrix y;
+    lin.forward(x, y);
+    EXPECT_NO_THROW(lin.backward(dy, dx));
+    EXPECT_EQ(dx.rows(), 1u);
+    EXPECT_EQ(dx.cols(), 3u);
 }
 
 TEST(Dropout, EvalModeIsIdentity)
@@ -209,6 +251,100 @@ TEST(Adam, SparseEmbeddingUpdatesOnlyTouchedRows)
     EXPECT_TRUE(e.touched().empty());
 }
 
+/**
+ * The scalar Adam update Adam::step vectorises: the same per-element
+ * expressions over one span, one element at a time.
+ */
+void
+reference_adam_span(float *w, const float *g, float *m, float *v,
+                    std::size_t n, float lr_t, float b1, float b2,
+                    float eps)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        m[i] = b1 * m[i] + (1.0f - b1) * g[i];
+        v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
+        w[i] -= lr_t * m[i] / (std::sqrt(v[i]) + eps);
+    }
+}
+
+/**
+ * Adam::step against a scalar reference, bit for bit, over several
+ * steps: two dense parameters and an embedding whose rows (19 wide)
+ * are updated only where touched — lengths that are not a multiple of
+ * the 16-lane vector, so the vector body and its remainder both run.
+ * Clipping off, on and active, and on but inactive (norm below it).
+ */
+TEST(Adam, StepMatchesScalarReferenceBitForBit)
+{
+    for (const double clip : {0.0, 1.0, 1e6}) {
+        SCOPED_TRACE(::testing::Message() << "clip_norm " << clip);
+        Rng rng(29);
+        Param a(3, 37);
+        Param b(1, 21);
+        glorot_init(a.value, rng);
+        glorot_init(b.value, rng);
+        Embedding emb(50, 19, rng);
+        AdamConfig cfg;
+        cfg.lr = 0.01;
+        cfg.clip_norm = clip;
+        Adam opt(cfg);
+        opt.add_param(&a);
+        opt.add_param(&b);
+        opt.add_embedding(&emb);
+
+        // Reference copies of the weights, with their own moments.
+        std::vector<Matrix> w = {a.value, b.value, emb.param().value};
+        std::vector<Matrix> m;
+        std::vector<Matrix> v;
+        for (const Matrix &x : w) {
+            m.emplace_back(x.rows(), x.cols());
+            v.emplace_back(x.rows(), x.cols());
+        }
+        for (int step = 1; step <= 6; ++step) {
+            uniform_init(a.grad, 1.0f, rng);
+            uniform_init(b.grad, 1.0f, rng);
+            const std::vector<std::int32_t> ids = {
+                static_cast<std::int32_t>(rng.next_below(50)),
+                static_cast<std::int32_t>(rng.next_below(50)), 7, 7};
+            Matrix go(ids.size(), 19);
+            uniform_init(go, 1.0f, rng);
+            emb.backward(ids, go);
+
+            std::vector<Matrix> g = {a.grad, b.grad, emb.param().grad};
+            double total = 0.0;
+            for (const Matrix &x : g)
+                total += sum_squares(x);
+            const double norm = std::sqrt(total);
+            if (clip > 0.0 && norm > clip)
+                for (Matrix &x : g)
+                    scale_inplace(x, static_cast<float>(clip / norm));
+            const double bc1 = 1.0 - std::pow(cfg.beta1, step);
+            const double bc2 = 1.0 - std::pow(cfg.beta2, step);
+            const auto lr_t =
+                static_cast<float>(cfg.lr * std::sqrt(bc2) / bc1);
+            const auto b1 = static_cast<float>(cfg.beta1);
+            const auto b2 = static_cast<float>(cfg.beta2);
+            const auto eps = static_cast<float>(cfg.eps);
+            for (std::size_t p = 0; p < 2; ++p)
+                reference_adam_span(w[p].data(), g[p].data(),
+                                    m[p].data(), v[p].data(), w[p].size(),
+                                    lr_t, b1, b2, eps);
+            for (const std::int32_t r : emb.touched())
+                reference_adam_span(w[2].row(r), g[2].row(r), m[2].row(r),
+                                    v[2].row(r), 19, lr_t, b1, b2, eps);
+
+            opt.step();
+            ASSERT_TRUE(same_bits(a.value, w[0])) << "step " << step;
+            ASSERT_TRUE(same_bits(b.value, w[1])) << "step " << step;
+            ASSERT_TRUE(same_bits(emb.param().value, w[2]))
+                << "step " << step;
+            for (const Param *p : {&a, &b, &emb.param()})
+                for (std::size_t i = 0; i < p->grad.size(); ++i)
+                    ASSERT_EQ(p->grad.data()[i], 0.0f);
+        }
+    }
+}
+
 TEST(Adam, LrDecay)
 {
     Adam opt(AdamConfig{1e-3, 0.9, 0.999, 1e-8, 0.0});
@@ -344,6 +480,155 @@ TEST(Lstm, CacheReuseAcrossShrinkingSequences)
         ASSERT_EQ(reused.wx().grad.data()[i], fresh.wx().grad.data()[i]);
     for (std::size_t i = 0; i < reused.wh().grad.size(); ++i)
         ASSERT_EQ(reused.wh().grad.data()[i], fresh.wh().grad.data()[i]);
+}
+
+TEST(Lstm, BackwardWithoutTrainingForwardThrows)
+{
+    Rng rng(14);
+    Lstm lstm(4, 5, rng);
+    Matrix dh(2, 5, 1.0f);
+    std::vector<Matrix> dxs;
+    expect_logic_error_naming([&] { lstm.backward(dh, dxs); }, "Lstm");
+
+    std::vector<Matrix> xs(3, Matrix(2, 4, 0.25f));
+    Matrix h;
+    lstm.forward(xs, h);
+    EXPECT_NO_THROW(lstm.backward(dh, dxs));
+    EXPECT_EQ(dxs.size(), 3u);
+
+    // The inference forward drops the training caches.
+    Matrix proj;
+    lstm.project_inputs(xs[0], proj);
+    StepRows rows;
+    rows.batch = 2;
+    rows.index = {0, 1, 1, 0};
+    lstm.forward_inference(proj, rows, h);
+    expect_logic_error_naming([&] { lstm.backward(dh, dxs); }, "Lstm");
+}
+
+/** Parameter and input gradients of one backward-through-time. */
+struct LstmGrads
+{
+    Matrix wx, wh, b;
+    std::vector<Matrix> dxs;
+};
+
+/**
+ * Backprop through time the way Lstm::backward ran it per step before
+ * it transposed its weights once per call: the forward recomputed
+ * with the kernels Lstm::forward uses, then per step the scalar
+ * gate-gradient loop and gemm_nt on the untransposed weights.
+ */
+LstmGrads
+reference_lstm_backward(const Lstm &lstm, const std::vector<Matrix> &xs,
+                        const Matrix &dh_last)
+{
+    const std::size_t T = xs.size();
+    const std::size_t batch = xs[0].rows();
+    const std::size_t h = lstm.hidden();
+    const Matrix &wx = lstm.wx().value;
+    const Matrix &wh = lstm.wh().value;
+    std::vector<Matrix> gates(T);
+    std::vector<Matrix> cs(T, Matrix(batch, h));
+    std::vector<Matrix> hs(T, Matrix(batch, h));
+    for (std::size_t t = 0; t < T; ++t) {
+        gates[t] = Matrix(batch, 4 * h);
+        gemm_nn(xs[t], wx, gates[t]);
+        if (t > 0)
+            gemm_nn(hs[t - 1], wh, gates[t]);
+        for (std::size_t r = 0; r < batch; ++r)
+            lstm_gate_row(gates[t].row(r), lstm.bias().value.data(),
+                          t > 0 ? cs[t - 1].row(r) : nullptr,
+                          cs[t].row(r), hs[t].row(r), h);
+    }
+
+    LstmGrads g{Matrix(wx.rows(), wx.cols()), Matrix(wh.rows(), wh.cols()),
+                Matrix(1, 4 * h), std::vector<Matrix>(T)};
+    Matrix dh = dh_last;
+    Matrix dc(batch, h);
+    Matrix dz(batch, 4 * h);
+    for (std::size_t t = T; t-- > 0;) {
+        Matrix tanh_c = cs[t];
+        tanh_inplace(tanh_c);
+        for (std::size_t r = 0; r < batch; ++r) {
+            const float *zr = gates[t].row(r);
+            const float *tcr = tanh_c.row(r);
+            const float *cpr = t > 0 ? cs[t - 1].row(r) : nullptr;
+            const float *dhr = dh.row(r);
+            float *dcr = dc.row(r);
+            float *dzr = dz.row(r);
+            for (std::size_t j = 0; j < h; ++j) {
+                const float gi = zr[j];
+                const float gf = zr[h + j];
+                const float gg = zr[2 * h + j];
+                const float go = zr[3 * h + j];
+                const float tc = tcr[j];
+                const float d_h = dhr[j];
+                const float d_o = d_h * tc;
+                float d_c = dcr[j] + d_h * go * (1.0f - tc * tc);
+                const float d_i = d_c * gg;
+                const float d_f = d_c * (cpr ? cpr[j] : 0.0f);
+                const float d_g = d_c * gi;
+                dcr[j] = d_c * gf;
+                dzr[j] = d_i * gi * (1.0f - gi);
+                dzr[h + j] = d_f * gf * (1.0f - gf);
+                dzr[2 * h + j] = d_g * (1.0f - gg * gg);
+                dzr[3 * h + j] = d_o * go * (1.0f - go);
+            }
+        }
+        gemm_tn(xs[t], dz, g.wx);
+        bias_backward(dz, g.b);
+        g.dxs[t] = Matrix(batch, wx.rows());
+        gemm_nt(dz, wx, g.dxs[t]);
+        if (t > 0) {
+            gemm_tn(hs[t - 1], dz, g.wh);
+            dh = Matrix(batch, h);
+            gemm_nt(dz, wh, dh);
+        }
+    }
+    return g;
+}
+
+/**
+ * Lstm::backward (weights transposed once per call, gemm_nn per step,
+ * vectorised gate-gradient rows) against the per-step reference, bit
+ * for bit. hidden 8 stays inside one partial vector; 40 runs full
+ * vectors plus a remainder; 64 full vectors only. Batch 1 and 7 run
+ * the one-row and ragged GEMM tiles, 64 full tiles; T = 1 covers the
+ * zero c_{-1} row alone.
+ */
+TEST(Lstm, BackwardMatchesPerStepReferenceBitForBit)
+{
+    const std::size_t in = 72;
+    for (const std::size_t hidden : {8u, 40u, 64u})
+        for (const std::size_t batch : {1u, 7u, 64u})
+            for (const std::size_t T : {1u, 8u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "hidden " << hidden << " batch " << batch
+                             << " T " << T);
+                Rng rng(hidden * 1000 + batch * 10 + T);
+                Lstm lstm(in, hidden, rng);
+                uniform_init(lstm.bias().value, 0.5f, rng);
+                std::vector<Matrix> xs(T, Matrix(batch, in));
+                for (Matrix &x : xs)
+                    uniform_init(x, 1.0f, rng);
+                Matrix dh(batch, hidden);
+                uniform_init(dh, 1.0f, rng);
+
+                Matrix h_last;
+                lstm.forward(xs, h_last);
+                std::vector<Matrix> dxs;
+                lstm.backward(dh, dxs);
+                const LstmGrads ref = reference_lstm_backward(lstm, xs, dh);
+
+                ASSERT_TRUE(same_bits(lstm.wx().grad, ref.wx));
+                ASSERT_TRUE(same_bits(lstm.wh().grad, ref.wh));
+                ASSERT_TRUE(same_bits(lstm.bias().grad, ref.b));
+                ASSERT_EQ(dxs.size(), T);
+                for (std::size_t t = 0; t < T; ++t)
+                    ASSERT_TRUE(same_bits(dxs[t], ref.dxs[t]))
+                        << "dxs[" << t << "]";
+            }
 }
 
 }  // namespace

@@ -297,6 +297,44 @@ TEST(Ops, GemmRowsAreBatchInvariant)
                 }
 }
 
+/**
+ * The layout-invariance contract (ops.hpp) Lstm::backward relies on:
+ * gemm_nn on a materialised B^T has the bits of gemm_nt on B, and
+ * gemm_tn on a materialised A^T the bits of gemm_nn on A — in-place
+ * and packed operands feed the microkernel the same values in the
+ * same order. m covers every MR-tile remainder and the one-row tile;
+ * n covers NR panels, ragged edges, the wide one-row tile and the
+ * LSTM shapes (72 = in_dim, 276 = a page head); k the LSTM widths.
+ * C starts random so the accumulate is exercised too.
+ */
+TEST(Ops, GemmOperandLayoutDoesNotChangeBits)
+{
+    const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64};
+    const std::size_t ns[] = {8, 20, 32, 64, 72, 276};
+    const std::size_t ks[] = {1, 64, 72, 256};
+    Rng rng(4321);
+    for (const std::size_t m : ms)
+        for (const std::size_t n : ns)
+            for (const std::size_t k : ks) {
+                SCOPED_TRACE(::testing::Message()
+                             << "m=" << m << " n=" << n << " k=" << k);
+                const auto a = random_matrix(m, k, rng);
+                const auto b = random_matrix(n, k, rng);  // B: (n, k)
+                const auto c0 = random_matrix(m, n, rng);
+                Matrix c_nt = c0;
+                gemm_nt(a, b, c_nt);
+                const Matrix bt = transpose(b);
+                Matrix c_nn = c0;
+                gemm_nn(a, bt, c_nn);
+                ASSERT_TRUE(same_bits(c_nn.data(), c_nt.data(), m * n))
+                    << "gemm_nn(A, B^T) vs gemm_nt(A, B)";
+                Matrix c_tn = c0;
+                gemm_tn(transpose(a), bt, c_tn);
+                ASSERT_TRUE(same_bits(c_tn.data(), c_nn.data(), m * n))
+                    << "gemm_tn(A^T, B^T) vs gemm_nn(A, B^T)";
+            }
+}
+
 TEST(Ops, AddAxpyScale)
 {
     Matrix y(1, 3);

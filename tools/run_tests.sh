@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: build + run the tier-1 suite under the release preset
 # (warnings as errors), then again under the asan-ubsan preset (Debug +
-# ASan + UBSan); run the nn/int8/golden/serve suites in a portable
+# ASan + UBSan); run the nn/int8/golden/serve/core suites in a portable
 # (non -march=native) build; and validate bench binaries'
 # --stats_json documents against the schema checker. Run from the
 # repository root. Fails on first error.
@@ -94,21 +94,32 @@ printf '%s\n' "$lstm_out" | grep -q "BM_LstmGateRowRef"
 printf '%s\n' "$lstm_out" | grep -q "BM_LstmVoyagerPredict/1 "
 printf '%s\n' "$lstm_out" | grep -q "BM_LstmVoyagerPredict/8 "
 
-# Portable build (DESIGN.md section 5.10): without -march=native the
-# 64-byte vector type of the GEMM tile and the gate kernel lowers to
-# SSE. The nn and int8 suites, every golden and the serve suite (whose
-# BatchEquivalence pins the one-row GEMM tile to the same bits as the
-# MR-row tile) must pass there too, warnings as errors (a vector
-# passed by value would trip -Wpsabi).
-echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden, serve =="
+# Training-step smoke (DESIGN.md section 5.21): a whole
+# VoyagerModel::train_step at the repository benchmark's shape and the
+# vectorised Adam update must run.
+echo "== bench_micro_nn train smoke =="
+train_out=$(./build/bench/bench_micro_nn --op=train \
+    --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$train_out" | grep -q "BM_TrainStep/64 "
+printf '%s\n' "$train_out" | grep -q "BM_AdamStep"
+
+# Portable build (DESIGN.md sections 5.10 and 5.21): without
+# -march=native the 64-byte vector type of the GEMM tile and the gate
+# kernel lowers to SSE. The nn and int8 suites, every golden, the
+# serve suite (whose BatchEquivalence pins the one-row GEMM tile to
+# the same bits as the MR-row tile) and the core suite (model and
+# trainer: the pack-free training step's bits) must pass there too,
+# warnings as errors (a vector passed by value would trip -Wpsabi).
+echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden, serve, core =="
 cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release \
     -DVOYAGER_NATIVE=OFF -DVOYAGER_WERROR=ON
 cmake --build build-portable -j1 \
-    --target test_nn test_quantized test_golden test_serve
+    --target test_nn test_quantized test_golden test_serve test_core
 ./build-portable/tests/test_nn
 ./build-portable/tests/test_quantized
 ./build-portable/tests/test_golden
 ./build-portable/tests/test_serve
+./build-portable/tests/test_core
 
 # Flat-hash smoke (DESIGN.md section 5.15): tiny key counts — this
 # proves the sweeps execute and emit a schema-valid micro_hash.*
