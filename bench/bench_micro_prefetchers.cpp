@@ -2,7 +2,8 @@
  * @file
  * Micro-benchmarks of the rule-based prefetchers and the simulator
  * datapath (google-benchmark): per-access training+prediction cost of
- * STMS/ISB/Domino/BO and raw cache/DRAM access throughput.
+ * STMS/ISB/Domino/BO, raw cache/DRAM/hierarchy access throughput, and
+ * whole simulations at perfbench's sim_rules shape.
  */
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,8 @@
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
 #include "sim/hierarchy.hpp"
+#include "sim/simulator.hpp"
+#include "trace/gen/workloads.hpp"
 #include "util/random.hpp"
 #include "util/stat_registry.hpp"
 
@@ -100,6 +103,8 @@ BM_PrefetcherOnAccessLarge(benchmark::State &state, const char *name)
 }
 BENCHMARK_CAPTURE(BM_PrefetcherOnAccessLarge, stms, "stms");
 BENCHMARK_CAPTURE(BM_PrefetcherOnAccessLarge, isb, "isb");
+BENCHMARK_CAPTURE(BM_PrefetcherOnAccessLarge, domino, "domino");
+BENCHMARK_CAPTURE(BM_PrefetcherOnAccessLarge, bo, "bo");
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -156,6 +161,44 @@ BM_HierarchyAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HierarchyAccess);
+
+/** The first 300000 accesses of the paper-scale mcf trace (seed 1):
+ *  the larger of perfbench's two sim_rules traces. */
+const trace::Trace &
+sim_rules_mcf()
+{
+    static const trace::Trace t = [] {
+        trace::Trace full = trace::gen::make_workload(
+            "mcf", trace::gen::Scale::Paper, 1);
+        full.truncate(300000);
+        return full;
+    }();
+    return t;
+}
+
+/** One whole simulation per iteration: paper (Table 3) hierarchy,
+ *  empty caches, prefetch degree 1, as sim_rules runs it. */
+void
+BM_Simulate(benchmark::State &state, const char *name)
+{
+    const trace::Trace &t = sim_rules_mcf();
+    const sim::SimConfig cfg = sim::default_sim_config();
+    for (auto _ : state) {
+        auto pf = prefetch::make_prefetcher(name, 1);
+        const sim::SimResult r = sim::simulate(t, cfg, *pf);
+        benchmark::DoNotOptimize(r.cycles);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK_CAPTURE(BM_Simulate, none, "none")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Simulate, stms, "stms")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Simulate, isb, "isb")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Simulate, domino, "domino")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Simulate, bo, "bo")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Simulate, isb_bo, "isb+bo")
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Strip `--stats_json=`/`--stats_csv=` from argv (google-benchmark

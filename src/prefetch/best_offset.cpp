@@ -34,20 +34,21 @@ BestOffset::BestOffset(const BestOffsetConfig &cfg)
 void
 BestOffset::rr_insert(Addr line)
 {
-    if (rr_set_.count(line))
+    if (!rr_set_.insert(line))
+        return;  // already recent
+    if (rr_ring_.size() < cfg_.rr_size) {
+        rr_ring_.push_back(line);
         return;
-    rr_fifo_.push_back(line);
-    rr_set_.insert(line);
-    while (rr_fifo_.size() > cfg_.rr_size) {
-        rr_set_.erase(rr_fifo_.front());
-        rr_fifo_.pop_front();
     }
-}
-
-bool
-BestOffset::rr_contains(Addr line) const
-{
-    return rr_set_.count(line) != 0;
+    if (rr_ring_.empty()) {  // rr_size 0: the table holds nothing
+        rr_set_.erase(line);
+        return;
+    }
+    // Full: the new line replaces the oldest.
+    rr_set_.erase(rr_ring_[rr_head_]);
+    rr_ring_[rr_head_] = line;
+    if (++rr_head_ == rr_ring_.size())
+        rr_head_ = 0;
 }
 
 void
@@ -75,7 +76,7 @@ BestOffset::on_access(const sim::LlcAccess &access)
 
     // --- Learning: test one candidate offset per access. ---
     const int d = offs[test_cursor_];
-    if (rr_contains(line - static_cast<Addr>(d))) {
+    if (rr_set_.contains(line - static_cast<Addr>(d))) {
         if (++scores_[test_cursor_] >= cfg_.max_score) {
             best_offset_ = d;
             std::fill(scores_.begin(), scores_.end(), 0);

@@ -8,11 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/prefetcher.hpp"
+#include "util/flat_hash.hpp"
 
 namespace voyager::prefetch {
 
@@ -55,12 +54,14 @@ class BestOffset final : public Prefetcher
 
   private:
     void rr_insert(Addr line);
-    bool rr_contains(Addr line) const;
     void finish_phase();
 
     BestOffsetConfig cfg_;
-    std::deque<Addr> rr_fifo_;
-    std::unordered_set<Addr> rr_set_;
+    /** RR table in insertion order: a ring of up to rr_size lines,
+     *  rr_head_ the oldest once full. */
+    std::vector<Addr> rr_ring_;
+    std::size_t rr_head_ = 0;
+    FlatHashSet<Addr> rr_set_;   ///< the lines in rr_ring_
 
     std::vector<int> scores_;
     std::size_t test_cursor_ = 0;   ///< next offset index to test

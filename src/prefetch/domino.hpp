@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/prefetcher.hpp"
+#include "util/flat_hash.hpp"
 
 namespace voyager::prefetch {
 
@@ -42,8 +42,8 @@ class Domino final : public Prefetcher
     bool have_prev2_ = false;
     Addr prev_ = 0;
     Addr prev2_ = 0;
-    std::unordered_map<std::uint64_t, Addr> pair_next_;
-    std::unordered_map<Addr, Addr> single_next_;
+    FlatHashMap<std::uint64_t, Addr> pair_next_;
+    FlatHashMap<Addr, Addr> single_next_;
 };
 
 }  // namespace voyager::prefetch

@@ -10,11 +10,8 @@ Isb::Isb(std::uint32_t degree, std::uint32_t stream_chunk)
 void
 Isb::map_structural(Addr line, std::uint64_t s)
 {
-    auto old = phys_to_struct_.find(line);
-    if (old != phys_to_struct_.end())
-        struct_to_phys_.erase(old->second);
-    phys_to_struct_[line] = s;
-    struct_to_phys_[s] = line;
+    phys_to_struct_.emplace(line, s);
+    struct_to_phys_.emplace(s, line);
 }
 
 std::vector<Addr>
@@ -23,9 +20,14 @@ Isb::on_access(const sim::LlcAccess &access)
     const Addr line = access.line;
 
     // --- Training: extend the PC-localized stream A -> B. ---
-    auto last_it = last_by_pc_.find(access.pc);
-    if (last_it != last_by_pc_.end() && last_it->second != line) {
-        const Addr prev = last_it->second;
+    // One probe both reads this PC's previous line and records B.
+    const auto [pc_slot, fresh] = last_by_pc_.emplace(access.pc, line);
+    // B's structural address, when known without another lookup.
+    std::uint64_t s = 0;
+    bool mapped = false;
+    if (!fresh && pc_slot->second != line) {
+        const Addr prev = pc_slot->second;
+        pc_slot->second = line;
         auto ps = phys_to_struct_.find(prev);
         std::uint64_t s_prev;
         if (ps == phys_to_struct_.end()) {
@@ -42,24 +44,33 @@ Isb::on_access(const sim::LlcAccess &access)
             // B is unmapped: append it to A's stream if the slot is
             // free (and not a chunk boundary), else open a new stream.
             if (desired % chunk_ != 0 &&
-                !struct_to_phys_.count(desired)) {
-                map_structural(line, desired);
+                struct_to_phys_.emplace(desired, line).second) {
+                phys_to_struct_.emplace(line, desired);
+                s = desired;
             } else {
-                map_structural(line, next_stream_base_);
+                s = next_stream_base_;
                 next_stream_base_ += chunk_;
+                map_structural(line, s);
             }
+        } else {
+            // B already mapped: keep its first-learned home. Remapping
+            // on every divergent pair would tear streams apart on loop
+            // back-edges (e.g. ...,C,A,B,C,A,... would unmap A each
+            // lap).
+            s = cur->second;
         }
-        // B already mapped: keep its first-learned home. Remapping on
-        // every divergent pair would tear streams apart on loop
-        // back-edges (e.g. ...,C,A,B,C,A,... would unmap A each lap).
+        mapped = true;
     }
-    last_by_pc_[access.pc] = line;
 
     // --- Prediction: walk the structural space from B. ---
     std::vector<Addr> out;
-    auto cur = phys_to_struct_.find(line);
-    if (cur != phys_to_struct_.end()) {
-        const std::uint64_t s = cur->second;
+    if (!mapped) {
+        auto cur = phys_to_struct_.find(line);
+        mapped = cur != phys_to_struct_.end();
+        if (mapped)
+            s = cur->second;
+    }
+    if (mapped) {
         for (std::uint32_t k = 1; k <= degree_; ++k) {
             // Stay within this stream's chunk.
             if ((s + k) / chunk_ != s / chunk_)

@@ -53,7 +53,12 @@ class Isb final : public Prefetcher
     }
 
   private:
-    /** Map B to structural address s, undoing any previous mapping. */
+    /**
+     * Map `line` to structural address s. Both must be unmapped:
+     * training maps only lines without a home, and every structural
+     * address it hands out is either the fresh base of a new stream
+     * or a slot it found free.
+     */
     void map_structural(Addr line, std::uint64_t s);
 
     std::uint32_t degree_;

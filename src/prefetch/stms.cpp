@@ -9,8 +9,10 @@ Stms::on_access(const sim::LlcAccess &access)
 {
     std::vector<Addr> out;
     const Addr line = access.line;
-    auto it = index_.find(line);
-    if (it != index_.end()) {
+    // One probe: insert line -> its new position, or find the previous
+    // occurrence and move it.
+    const auto [it, fresh] = index_.emplace(line, history_.size());
+    if (!fresh) {
         // Predict the lines that followed the previous occurrence in
         // the global history buffer.
         const std::uint64_t pos = it->second;
@@ -20,8 +22,8 @@ Stms::on_access(const sim::LlcAccess &access)
                 break;
             out.push_back(history_[p]);
         }
+        it->second = history_.size();
     }
-    index_[line] = history_.size();
     history_.push_back(line);
     return out;
 }

@@ -1,106 +1,157 @@
 #include "sim/cache.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace voyager::sim {
 
-Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
+Cache::Cache(const CacheConfig &cfg) : cfg_(cfg), assoc_(cfg.assoc)
 {
-    if (cfg_.assoc == 0 || cfg_.size_bytes % (kLineSize * cfg_.assoc) != 0)
-        throw std::invalid_argument("cache: bad geometry for " + cfg_.name);
-    num_sets_ = cfg_.num_sets();
-    if (num_sets_ == 0)
-        throw std::invalid_argument("cache: zero sets in " + cfg_.name);
-    blocks_.resize(num_sets_ * cfg_.assoc);
+    if (cfg_.assoc == 0)
+        throw std::invalid_argument("cache " + cfg_.name +
+                                    ": assoc must be positive");
+    if (cfg_.size_bytes % (kLineSize * cfg_.assoc) != 0)
+        throw std::invalid_argument(
+            "cache " + cfg_.name +
+            ": size_bytes is not a multiple of line size * assoc");
+    const std::uint64_t sets = cfg_.num_sets();
+    if (sets == 0)
+        throw std::invalid_argument("cache " + cfg_.name +
+                                    ": size_bytes gives zero sets");
+    if ((sets & (sets - 1)) != 0)
+        throw std::invalid_argument(
+            "cache " + cfg_.name + ": set count " + std::to_string(sets) +
+            " (size_bytes / (line size * assoc)) is not a power of two");
+    set_mask_ = sets - 1;
+    const std::size_t ways = static_cast<std::size_t>(sets) * assoc_;
+    tags_.assign(ways, kNoEviction);
+    lru_.assign(ways, 0);
+    prefetched_.assign(ways, 0);
+    rrpv_.assign(ways, 3);
+}
+
+std::uint32_t
+Cache::find_way(std::size_t base, Addr line) const
+{
+    const Addr *tags = tags_.data() + base;
+    for (std::uint32_t w = 0; w < assoc_; ++w)
+        if (tags[w] == line)
+            return w;
+    return assoc_;
 }
 
 bool
 Cache::access(Addr line)
 {
     ++stats_.accesses;
-    Block *set = &blocks_[set_index(line) * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-        Block &b = set[w];
-        if (b.valid && b.line == line) {
-            ++stats_.hits;
-            b.lru = ++lru_clock_;
-            b.rrpv = 0;  // SRRIP: near-immediate re-reference on hit
-            if (b.prefetched) {
-                b.prefetched = false;
-                ++stats_.useful_prefetches;
-            }
-            return true;
-        }
+    const std::size_t base = set_base(line);
+    const std::uint32_t w = find_way(base, line);
+    if (w == assoc_) {
+        ++stats_.misses;
+        return false;
     }
-    ++stats_.misses;
-    return false;
+    touch(base + w);
+    return true;
 }
 
-Cache::Block *
-Cache::pick_victim(Block *set)
+bool
+Cache::access_or_fill(Addr line)
 {
-    // Empty ways always win.
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-        if (!set[w].valid)
-            return &set[w];
+    ++stats_.accesses;
+    const std::size_t base = set_base(line);
+    const std::uint32_t w = find_way(base, line);
+    if (w == assoc_) {
+        ++stats_.misses;
+        install(base, line, false);
+        return false;
+    }
+    touch(base + w);
+    return true;
+}
 
-    switch (cfg_.policy) {
-      case ReplacementPolicy::Lru: {
-        Block *victim = set;
-        for (std::uint32_t w = 1; w < cfg_.assoc; ++w)
-            if (set[w].lru < victim->lru)
-                victim = &set[w];
+void
+Cache::touch(std::size_t i)
+{
+    ++stats_.hits;
+    lru_[i] = ++lru_clock_;
+    rrpv_[i] = 0;  // SRRIP: near-immediate re-reference on hit
+    if (prefetched_[i]) {
+        prefetched_[i] = 0;
+        ++stats_.useful_prefetches;
+    }
+}
+
+std::uint32_t
+Cache::pick_victim(std::size_t base)
+{
+    if (cfg_.policy == ReplacementPolicy::Lru) {
+        // Valid ways carry stamps >= 1 and invalid ways 0, so the
+        // first minimum is the first empty way when there is one and
+        // the least recently used way otherwise.
+        const std::uint64_t *lru = lru_.data() + base;
+        std::uint32_t victim = 0;
+        std::uint64_t oldest = lru[0];
+        for (std::uint32_t w = 1; w < assoc_; ++w) {
+            if (lru[w] < oldest) {
+                oldest = lru[w];
+                victim = w;
+            }
+        }
         return victim;
-      }
-      case ReplacementPolicy::Srrip: {
+    }
+
+    // Empty ways always win.
+    const Addr *tags = tags_.data() + base;
+    for (std::uint32_t w = 0; w < assoc_; ++w)
+        if (tags[w] == kNoEviction)
+            return w;
+
+    if (cfg_.policy == ReplacementPolicy::Srrip) {
         // Find a distant (rrpv==3) block, aging the set until one
         // exists.
+        std::uint8_t *rrpv = rrpv_.data() + base;
         while (true) {
-            for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-                if (set[w].rrpv >= 3)
-                    return &set[w];
-            for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-                ++set[w].rrpv;
+            for (std::uint32_t w = 0; w < assoc_; ++w)
+                if (rrpv[w] >= 3)
+                    return w;
+            for (std::uint32_t w = 0; w < assoc_; ++w)
+                ++rrpv[w];
         }
-      }
-      case ReplacementPolicy::Random: {
-        // xorshift; any way can be the victim.
-        rand_state_ ^= rand_state_ << 13;
-        rand_state_ ^= rand_state_ >> 7;
-        rand_state_ ^= rand_state_ << 17;
-        return &set[rand_state_ % cfg_.assoc];
-      }
     }
-    return set;
+
+    // Random: xorshift; any way can be the victim.
+    rand_state_ ^= rand_state_ << 13;
+    rand_state_ ^= rand_state_ >> 7;
+    rand_state_ ^= rand_state_ << 17;
+    return static_cast<std::uint32_t>(rand_state_ % assoc_);
 }
 
 Addr
 Cache::fill(Addr line, bool prefetched)
 {
-    Block *set = &blocks_[set_index(line) * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-        Block &b = set[w];
-        if (b.valid && b.line == line) {
-            // Already present (e.g. prefetch raced a demand fill);
-            // refresh recency but do not double-install.
-            b.lru = ++lru_clock_;
-            return kNoEviction;
-        }
+    const std::size_t base = set_base(line);
+    const std::uint32_t hit = find_way(base, line);
+    if (hit != assoc_) {
+        // Already present (e.g. prefetch raced a demand fill);
+        // refresh recency but do not double-install.
+        lru_[base + hit] = ++lru_clock_;
+        return kNoEviction;
     }
-    Block *victim = pick_victim(set);
-    assert(victim != nullptr);
-    Addr evicted = kNoEviction;
-    if (victim->valid) {
-        evicted = victim->line;
-        if (victim->prefetched)
-            ++stats_.evicted_unused_prefetches;
-    }
-    victim->valid = true;
-    victim->line = line;
-    victim->prefetched = prefetched;
-    victim->lru = ++lru_clock_;
-    victim->rrpv = 2;  // SRRIP long re-reference insertion
+    return install(base, line, prefetched);
+}
+
+Addr
+Cache::install(std::size_t base, Addr line, bool prefetched)
+{
+    const std::size_t i = base + pick_victim(base);
+    // An empty way holds tag kNoEviction and no prefetch bit.
+    const Addr evicted = tags_[i];
+    if (prefetched_[i])
+        ++stats_.evicted_unused_prefetches;
+    tags_[i] = line;
+    prefetched_[i] = prefetched ? 1 : 0;
+    lru_[i] = ++lru_clock_;
+    rrpv_[i] = 2;  // SRRIP long re-reference insertion
     if (prefetched)
         ++stats_.prefetch_fills;
     return evicted;
@@ -109,25 +160,20 @@ Cache::fill(Addr line, bool prefetched)
 bool
 Cache::contains(Addr line) const
 {
-    const Block *set = &blocks_[set_index(line) * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-        if (set[w].valid && set[w].line == line)
-            return true;
-    return false;
+    return find_way(set_base(line), line) != assoc_;
 }
 
 bool
 Cache::invalidate(Addr line)
 {
-    Block *set = &blocks_[set_index(line) * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-        if (set[w].valid && set[w].line == line) {
-            set[w].valid = false;
-            set[w].prefetched = false;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t base = set_base(line);
+    const std::uint32_t w = find_way(base, line);
+    if (w == assoc_)
+        return false;
+    tags_[base + w] = kNoEviction;
+    prefetched_[base + w] = 0;
+    lru_[base + w] = 0;
+    return true;
 }
 
 void

@@ -61,13 +61,21 @@ void export_cache_stats(StatRegistry &reg, const std::string &prefix,
                         const CacheStats &s);
 
 /**
- * A set-associative cache over line addresses with true-LRU
- * replacement. Tracks per-block prefetch bits so the hierarchy can
- * compute prefetch accuracy (useful vs. evicted-unused).
+ * A set-associative cache over line addresses with LRU, SRRIP or
+ * random replacement. Tracks per-block prefetch bits so the hierarchy
+ * can compute prefetch accuracy (useful vs. evicted-unused).
+ *
+ * State is kept per way in flat arrays (tag, LRU stamp, prefetch bit,
+ * RRPV), row-major by set, so a probe walks one dense run of tags. An
+ * invalid way holds the tag kNoEviction and LRU stamp 0; line
+ * ~0 is reserved for that and never names a real line (lines are
+ * addresses shifted right by kLineBits). The set count must be a
+ * power of two: sets are indexed by `line & (sets - 1)`.
  */
 class Cache
 {
   public:
+    /** @throws std::invalid_argument naming the bad field. */
     explicit Cache(const CacheConfig &cfg);
 
     const CacheConfig &config() const { return cfg_; }
@@ -81,11 +89,20 @@ class Cache
     bool access(Addr line);
 
     /**
-     * Install a line (demand fill or prefetch fill). Evicts LRU.
+     * Install a line (demand fill or prefetch fill). Evicts per the
+     * replacement policy, empty ways first.
      * @param prefetched marks the block as brought in by a prefetch.
      * @return the evicted line address, or kNoEviction.
      */
     Addr fill(Addr line, bool prefetched);
+
+    /**
+     * access(line), then on a miss fill(line, false), in one probe of
+     * the set: the demand path of a level whose set nothing else
+     * touches between its miss and its fill.
+     * @return true on hit.
+     */
+    bool access_or_fill(Addr line);
 
     /** Probe without updating LRU or stats. */
     bool contains(Addr line) const;
@@ -93,29 +110,33 @@ class Cache
     /** Invalidate a line if present. @return true if it was present. */
     bool invalidate(Addr line);
 
-    /** Sentinel returned by fill() when no block was evicted. */
+    /** Sentinel returned by fill() when no block was evicted; also
+     *  the tag of an invalid way. */
     static constexpr Addr kNoEviction = ~0ull;
 
   private:
-    struct Block
+    /** First way of `line`'s set. */
+    std::size_t set_base(Addr line) const
     {
-        Addr line = 0;
-        bool valid = false;
-        bool prefetched = false;
-        std::uint64_t lru = 0;   ///< larger = more recently used
-        std::uint8_t rrpv = 3;   ///< re-reference prediction value
-    };
-
-    std::size_t set_index(Addr line) const
-    {
-        return static_cast<std::size_t>(line % num_sets_);
+        return static_cast<std::size_t>(line & set_mask_) * assoc_;
     }
 
-    Block *pick_victim(Block *set);
+    /** Way index of `line` in the set at `base`, or assoc_. */
+    std::uint32_t find_way(std::size_t base, Addr line) const;
+    std::uint32_t pick_victim(std::size_t base);
+    /** Hit bookkeeping of access() for the way at index i. */
+    void touch(std::size_t i);
+    /** Install `line` (absent from the set at `base`) over a victim. */
+    Addr install(std::size_t base, Addr line, bool prefetched);
 
     CacheConfig cfg_;
-    std::size_t num_sets_;
-    std::vector<Block> blocks_;  // sets * assoc, row-major by set
+    std::uint32_t assoc_;
+    Addr set_mask_;
+    // One entry per way, sets * assoc, row-major by set.
+    std::vector<Addr> tags_;               ///< kNoEviction = invalid
+    std::vector<std::uint64_t> lru_;       ///< larger = newer; 0 = invalid
+    std::vector<std::uint8_t> prefetched_;
+    std::vector<std::uint8_t> rrpv_;       ///< re-reference prediction
     std::uint64_t lru_clock_ = 0;
     std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
     CacheStats stats_;

@@ -1,9 +1,18 @@
 #include "sim/core_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 namespace voyager::sim {
+
+OoOCore::OoOCore(const CoreConfig &cfg) : cfg_(cfg)
+{
+    if (cfg_.rob_size == 0)
+        throw std::invalid_argument("core: rob_size must be positive");
+    if (cfg_.width == 0)
+        throw std::invalid_argument("core: width must be positive");
+}
 
 CoreResult
 OoOCore::run(const trace::Trace &trace, MemoryHierarchy &mem) const
@@ -13,9 +22,10 @@ OoOCore::run(const trace::Trace &trace, MemoryHierarchy &mem) const
     if (res.instructions == 0)
         return res;
 
-    // retire_time[i % rob] = cycle instruction i retired; instruction
-    // i+rob_size may not issue before it.
+    // retire_time[slot] = cycle instruction i retired, where slot =
+    // i mod rob_size; instruction i+rob_size may not issue before it.
     std::vector<Cycle> retire_time(cfg_.rob_size, 0);
+    std::uint32_t slot = 0;
     Cycle fetch_cycle = cfg_.pipeline_depth;
     std::uint32_t fetched_this_cycle = 0;
     Cycle last_retire = 0;
@@ -31,7 +41,7 @@ OoOCore::run(const trace::Trace &trace, MemoryHierarchy &mem) const
             fetched_this_cycle = 0;
         }
         // ROB-occupancy constraint.
-        const Cycle oldest = retire_time[i % cfg_.rob_size];
+        const Cycle oldest = retire_time[slot];
         if (oldest > fetch_cycle) {
             fetch_cycle = oldest;
             fetched_this_cycle = 0;
@@ -61,7 +71,9 @@ OoOCore::run(const trace::Trace &trace, MemoryHierarchy &mem) const
             retired_at_last = 1;
         }
         last_retire = retire;
-        retire_time[i % cfg_.rob_size] = retire;
+        retire_time[slot] = retire;
+        if (++slot == cfg_.rob_size)
+            slot = 0;
     }
 
     res.cycles = last_retire;

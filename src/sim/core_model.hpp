@@ -43,7 +43,8 @@ struct CoreResult
 class OoOCore
 {
   public:
-    explicit OoOCore(const CoreConfig &cfg) : cfg_(cfg) {}
+    /** @throws std::invalid_argument when rob_size or width is 0. */
+    explicit OoOCore(const CoreConfig &cfg);
 
     /** Simulate the whole trace. */
     CoreResult run(const trace::Trace &trace, MemoryHierarchy &mem) const;

@@ -1,46 +1,99 @@
 #include "sim/dram.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace voyager::sim {
 
+namespace {
+
+std::uint32_t
+checked_dim(std::uint32_t v, const char *field)
+{
+    if (v == 0)
+        throw std::invalid_argument(std::string("dram: ") + field +
+                                    " must be positive");
+    return v;
+}
+
+}  // namespace
+
 Dram::Dram(const DramConfig &cfg)
     : cfg_(cfg),
-      banks_(static_cast<std::size_t>(cfg.channels) * cfg.ranks * cfg.banks),
+      banks_(static_cast<std::size_t>(checked_dim(cfg.channels,
+                                                  "channels")) *
+             checked_dim(cfg.ranks, "ranks") *
+             checked_dim(cfg.banks, "banks")),
       bus_free_(cfg.channels, 0)
 {
+    checked_dim(cfg.rows, "rows");
+    checked_dim(cfg.columns, "columns");
+    pow2_ = std::has_single_bit(cfg.channels) &&
+            std::has_single_bit(cfg.ranks) &&
+            std::has_single_bit(cfg.banks) &&
+            std::has_single_bit(cfg.rows) &&
+            std::has_single_bit(cfg.columns);
+    if (pow2_) {
+        skip_bits_ = static_cast<std::uint32_t>(
+            std::countr_zero(cfg.channels) + std::countr_zero(cfg.columns));
+        bank_bits_ = static_cast<std::uint32_t>(std::countr_zero(cfg.banks));
+        rank_bits_ = static_cast<std::uint32_t>(std::countr_zero(cfg.ranks));
+    }
+}
+
+Dram::Location
+Dram::locate(Addr line) const
+{
+    // Address mapping row:rank:bank:column:channel — adjacent lines
+    // spread across channels, then walk a row's columns, so spatial
+    // streams enjoy row-buffer hits while banks still interleave.
+    std::uint32_t channel, bank, rank, row;
+    if (pow2_) {
+        // The same mapping, as x % 2^k == x & (2^k - 1) and
+        // x / 2^k == x >> k for unsigned x.
+        channel = static_cast<std::uint32_t>(line & (cfg_.channels - 1));
+        std::uint64_t rest = line >> skip_bits_;  // drop the column too
+        bank = static_cast<std::uint32_t>(rest & (cfg_.banks - 1));
+        rest >>= bank_bits_;
+        rank = static_cast<std::uint32_t>(rest & (cfg_.ranks - 1));
+        rest >>= rank_bits_;
+        row = static_cast<std::uint32_t>(rest & (cfg_.rows - 1));
+    } else {
+        channel = static_cast<std::uint32_t>(line % cfg_.channels);
+        std::uint64_t rest = line / cfg_.channels;
+        rest /= cfg_.columns;  // column index (not needed for timing)
+        bank = static_cast<std::uint32_t>(rest % cfg_.banks);
+        rest /= cfg_.banks;
+        rank = static_cast<std::uint32_t>(rest % cfg_.ranks);
+        rest /= cfg_.ranks;
+        row = static_cast<std::uint32_t>(rest % cfg_.rows);
+    }
+    return {channel,
+            (static_cast<std::size_t>(channel) * cfg_.ranks + rank) *
+                    cfg_.banks + bank,
+            row};
 }
 
 std::uint32_t
 Dram::access(Addr line, Cycle now)
 {
-    // Address mapping row:rank:bank:column:channel — adjacent lines
-    // spread across channels, then walk a row's columns, so spatial
-    // streams enjoy row-buffer hits while banks still interleave.
-    const std::uint32_t channel = line % cfg_.channels;
-    std::uint64_t rest = line / cfg_.channels;
-    rest /= cfg_.columns;  // column index (not needed for timing)
-    const std::uint32_t bank = rest % cfg_.banks;
-    rest /= cfg_.banks;
-    const std::uint32_t rank = rest % cfg_.ranks;
-    rest /= cfg_.ranks;
-    const std::uint32_t row = rest % cfg_.rows;
-
-    Bank &b = banks_[(static_cast<std::size_t>(channel) * cfg_.ranks +
-                      rank) * cfg_.banks + bank];
+    const Location loc = locate(line);
+    Bank &b = banks_[loc.bank];
 
     const Cycle start = std::max(now, b.busy_until);
     std::uint32_t prep_cycles = 0;
-    if (b.open_row == row) {
+    if (b.open_row == loc.row) {
         ++stats_.row_hits;
     } else {
         ++stats_.row_misses;
         prep_cycles = cfg_.t_rp + cfg_.t_rcd;
-        b.open_row = row;
+        b.open_row = loc.row;
     }
     Cycle data_ready = start + prep_cycles + cfg_.t_cas;
     // Serialize the burst on the channel data bus.
-    Cycle &bus = bus_free_[channel];
+    Cycle &bus = bus_free_[loc.channel];
     const Cycle burst_start = std::max(data_ready, bus);
     bus = burst_start + cfg_.burst_cycles;
     data_ready = burst_start + cfg_.burst_cycles;

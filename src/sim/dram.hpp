@@ -68,6 +68,8 @@ void export_dram_stats(StatRegistry &reg, const std::string &prefix,
 class Dram
 {
   public:
+    /** @throws std::invalid_argument when channels, ranks, banks,
+     *  rows or columns is 0. */
     explicit Dram(const DramConfig &cfg);
 
     /**
@@ -86,7 +88,21 @@ class Dram
         std::uint32_t open_row = ~0u;
     };
 
+    /** Channel, flat bank index and row of a line. */
+    struct Location
+    {
+        std::uint32_t channel;
+        std::size_t bank;
+        std::uint32_t row;
+    };
+    Location locate(Addr line) const;
+
     DramConfig cfg_;
+    /** Every dimension is a power of two: map by shift and mask. */
+    bool pow2_ = false;
+    std::uint32_t skip_bits_ = 0;   ///< channel + column bits
+    std::uint32_t bank_bits_ = 0;
+    std::uint32_t rank_bits_ = 0;
     std::vector<Bank> banks_;        // channels * ranks * banks
     std::vector<Cycle> bus_free_;    // per channel
     DramStats stats_;

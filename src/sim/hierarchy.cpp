@@ -23,7 +23,7 @@ MemoryHierarchy::drain_inflight(Cycle now)
         auto it = inflight_.find(line);
         if (it != inflight_.end() && it->second <= now) {
             llc_.fill(line, true);
-            inflight_.erase(it);
+            inflight_.erase(line);
         }
     }
 }
@@ -34,15 +34,16 @@ MemoryHierarchy::access(const trace::MemoryAccess &a, Cycle now)
     drain_inflight(now);
     const Addr line = a.line();
 
+    // Each level installs the line on its demand miss. Nothing touches
+    // a level's set between its miss and the fill, and each level keeps
+    // its own LRU clock, so this equals filling on the way back up.
     std::uint32_t latency = cfg_.l1.latency;
-    if (l1_.access(line))
+    if (l1_.access_or_fill(line))
         return latency;
 
     latency += cfg_.l2.latency;
-    if (l2_.access(line)) {
-        l1_.fill(line, false);
+    if (l2_.access_or_fill(line))
         return latency;
-    }
 
     // This is an LLC demand access: the prefetcher's training input.
     LlcAccess acc;
@@ -53,23 +54,20 @@ MemoryHierarchy::access(const trace::MemoryAccess &a, Cycle now)
     acc.is_load = a.is_load;
 
     latency += cfg_.llc.latency;
-    if (llc_.access(line)) {
+    if (llc_.access_or_fill(line)) {
         acc.hit = true;
     } else if (auto it = inflight_.find(line); it != inflight_.end()) {
         // Late prefetch: demand catches an in-flight fill. Charge the
-        // remaining flight time instead of a full DRAM round trip.
+        // remaining flight time instead of a full DRAM round trip. The
+        // line arrived as a (consumed) prefetch: filled, not marked.
         ++pf_.late_useful;
         latency += static_cast<std::uint32_t>(it->second - now);
-        llc_.fill(line, false);  // arrives as (consumed) prefetch
-        inflight_.erase(it);
+        inflight_.erase(line);
         acc.hit = false;
     } else {
         latency += dram_.access(line, now);
-        llc_.fill(line, false);
         acc.hit = false;
     }
-    l2_.fill(line, false);
-    l1_.fill(line, false);
 
     if (observer_)
         observer_(acc);
@@ -87,7 +85,7 @@ MemoryHierarchy::issue_prefetches(const LlcAccess &trigger, Cycle now)
         if (accepted >= cfg_.max_degree)
             break;
         if (cand == trigger.line || llc_.contains(cand) ||
-            inflight_.count(cand)) {
+            inflight_.contains(cand)) {
             continue;  // redundant prefetch: filtered, not counted
         }
         if (inflight_.size() >= cfg_.max_inflight_prefetches) {

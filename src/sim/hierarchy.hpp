@@ -10,12 +10,12 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
 #include "sim/prefetcher.hpp"
 #include "trace/access.hpp"
+#include "util/flat_hash.hpp"
 
 namespace voyager::sim {
 
@@ -90,8 +90,8 @@ class MemoryHierarchy
     PrefetchCounters pf_;
     std::uint64_t llc_index_ = 0;
 
-    /** In-flight prefetch fills: line -> ready cycle. */
-    std::unordered_map<Addr, Cycle> inflight_;
+    /** In-flight prefetch fills: line -> ready cycle. Never iterated. */
+    FlatHashMap<Addr, Cycle> inflight_;
     /** Completion order queue for lazy draining. */
     std::priority_queue<std::pair<Cycle, Addr>,
                         std::vector<std::pair<Cycle, Addr>>,

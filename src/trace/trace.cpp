@@ -120,7 +120,14 @@ Trace::truncate(std::size_t n)
 {
     if (n >= accesses_.size())
         return;
+    const std::size_t dropped = accesses_.size() - n;
     accesses_.resize(n);
+    // Give the buffer back when the cut drops more accesses than it
+    // keeps: the dropped ones were written, so their pages are
+    // resident, and copying the kept ones is the cheaper side. A small
+    // trim (a generator overrunning its budget) keeps the buffer.
+    if (dropped > n)
+        accesses_.shrink_to_fit();
     instructions_ =
         accesses_.empty() ? 0 : accesses_.back().instr_id + 1;
 }

@@ -5,7 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "sim/cache.hpp"
+#include "util/random.hpp"
 
 namespace voyager::sim {
 namespace {
@@ -37,6 +43,25 @@ TEST(Cache, GeometryValidation)
     CacheConfig zero = tiny();
     zero.assoc = 0;
     EXPECT_THROW(Cache cache(zero), std::invalid_argument);
+    CacheConfig no_sets = tiny();
+    no_sets.size_bytes = 0;
+    EXPECT_THROW(Cache cache(no_sets), std::invalid_argument);
+}
+
+TEST(Cache, SetCountMustBeAPowerOfTwo)
+{
+    for (std::uint64_t sets : {3u, 6u, 12u, 2047u}) {
+        try {
+            Cache c(tiny(4, sets));
+            ADD_FAILURE() << sets << " sets were accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("power of two"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (std::uint64_t sets : {1u, 2u, 64u, 2048u})
+        EXPECT_NO_THROW(Cache c(tiny(4, sets)));
 }
 
 TEST(Cache, MissThenHit)
@@ -166,6 +191,223 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint32_t, std::uint64_t>{2, 8},
                       std::pair<std::uint32_t, std::uint64_t>{4, 4},
                       std::pair<std::uint32_t, std::uint64_t>{16, 32}));
+
+/**
+ * The cache as an array of block structs, indexed by `line % sets`,
+ * with a valid flag and an explicit empty-way scan before every
+ * replacement policy: the layout Cache had before its per-way arrays.
+ * The differential tests hold Cache to it operation for operation.
+ */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheConfig &cfg)
+        : cfg_(cfg), sets_(cfg.num_sets()), blocks_(sets_ * cfg.assoc)
+    {
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+    bool
+    access(Addr line)
+    {
+        ++stats_.accesses;
+        Block *set = set_of(line);
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            Block &b = set[w];
+            if (b.valid && b.line == line) {
+                ++stats_.hits;
+                b.lru = ++lru_clock_;
+                b.rrpv = 0;
+                if (b.prefetched) {
+                    b.prefetched = false;
+                    ++stats_.useful_prefetches;
+                }
+                return true;
+            }
+        }
+        ++stats_.misses;
+        return false;
+    }
+
+    Addr
+    fill(Addr line, bool prefetched)
+    {
+        Block *set = set_of(line);
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            if (set[w].valid && set[w].line == line) {
+                set[w].lru = ++lru_clock_;
+                return Cache::kNoEviction;
+            }
+        }
+        Block *victim = pick_victim(set);
+        Addr evicted = Cache::kNoEviction;
+        if (victim->valid) {
+            evicted = victim->line;
+            if (victim->prefetched)
+                ++stats_.evicted_unused_prefetches;
+        }
+        victim->valid = true;
+        victim->line = line;
+        victim->prefetched = prefetched;
+        victim->lru = ++lru_clock_;
+        victim->rrpv = 2;
+        if (prefetched)
+            ++stats_.prefetch_fills;
+        return evicted;
+    }
+
+    bool
+    contains(Addr line)
+    {
+        const Block *set = set_of(line);
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+            if (set[w].valid && set[w].line == line)
+                return true;
+        return false;
+    }
+
+    bool
+    invalidate(Addr line)
+    {
+        Block *set = set_of(line);
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+            if (set[w].valid && set[w].line == line) {
+                set[w].valid = false;
+                set[w].prefetched = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    struct Block
+    {
+        Addr line = 0;
+        bool valid = false;
+        bool prefetched = false;
+        std::uint64_t lru = 0;
+        std::uint8_t rrpv = 3;
+    };
+
+    Block *set_of(Addr line)
+    {
+        return &blocks_[(line % sets_) * cfg_.assoc];
+    }
+
+    Block *
+    pick_victim(Block *set)
+    {
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+            if (!set[w].valid)
+                return &set[w];
+        switch (cfg_.policy) {
+          case ReplacementPolicy::Lru: {
+            Block *victim = set;
+            for (std::uint32_t w = 1; w < cfg_.assoc; ++w)
+                if (set[w].lru < victim->lru)
+                    victim = &set[w];
+            return victim;
+          }
+          case ReplacementPolicy::Srrip:
+            while (true) {
+                for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+                    if (set[w].rrpv >= 3)
+                        return &set[w];
+                for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+                    ++set[w].rrpv;
+            }
+          case ReplacementPolicy::Random:
+            rand_state_ ^= rand_state_ << 13;
+            rand_state_ ^= rand_state_ >> 7;
+            rand_state_ ^= rand_state_ << 17;
+            return &set[rand_state_ % cfg_.assoc];
+        }
+        return set;
+    }
+
+    CacheConfig cfg_;
+    std::uint64_t sets_;
+    std::vector<Block> blocks_;
+    std::uint64_t lru_clock_ = 0;
+    std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
+    CacheStats stats_;
+};
+
+void
+expect_same_stats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
+    EXPECT_EQ(a.useful_prefetches, b.useful_prefetches);
+    EXPECT_EQ(a.evicted_unused_prefetches, b.evicted_unused_prefetches);
+}
+
+class CacheDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<std::pair<std::uint32_t, std::uint64_t>,
+                     ReplacementPolicy>>
+{
+};
+
+TEST_P(CacheDifferential, MatchesBlockArrayReference)
+{
+    const auto [geometry, policy] = GetParam();
+    const auto [assoc, sets] = geometry;
+    CacheConfig cfg = tiny(assoc, sets);
+    cfg.policy = policy;
+    Cache c(cfg);
+    RefCache ref(cfg);
+    const std::uint64_t capacity = std::uint64_t{assoc} * sets;
+    // Lines from 3x the capacity: hits, conflict misses and empty ways
+    // reopened by invalidate all occur. A hot tenth of the range keeps
+    // LRU and RRPV state from degenerating into pure streaming.
+    const std::uint64_t range = 3 * capacity;
+    Rng rng(capacity * 7 + static_cast<std::uint64_t>(policy));
+    const std::size_t ops = std::max<std::size_t>(20000, 6 * capacity);
+    for (std::size_t i = 0; i < ops; ++i) {
+        const Addr line = rng.next_below(4) == 0
+                              ? rng.next_below(range / 10 + 1)
+                              : rng.next_below(range);
+        const std::uint64_t op = rng.next_below(20);
+        if (op < 7) {
+            ASSERT_EQ(c.access(line), ref.access(line)) << "op " << i;
+        } else if (op < 10) {
+            ASSERT_EQ(c.fill(line, false), ref.fill(line, false))
+                << "op " << i;
+        } else if (op < 13) {
+            ASSERT_EQ(c.fill(line, true), ref.fill(line, true))
+                << "op " << i;
+        } else if (op < 16) {
+            const bool hit = ref.access(line);
+            if (!hit)
+                ref.fill(line, false);
+            ASSERT_EQ(c.access_or_fill(line), hit) << "op " << i;
+        } else if (op < 18) {
+            ASSERT_EQ(c.contains(line), ref.contains(line)) << "op " << i;
+        } else {
+            ASSERT_EQ(c.invalidate(line), ref.invalidate(line))
+                << "op " << i;
+        }
+    }
+    expect_same_stats(c.stats(), ref.stats());
+    for (Addr line = 0; line < range; ++line)
+        ASSERT_EQ(c.contains(line), ref.contains(line)) << line;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndPolicies, CacheDifferential,
+    ::testing::Combine(
+        ::testing::Values(std::pair<std::uint32_t, std::uint64_t>{1, 16},
+                          std::pair<std::uint32_t, std::uint64_t>{2, 8},
+                          std::pair<std::uint32_t, std::uint64_t>{4, 4},
+                          std::pair<std::uint32_t, std::uint64_t>{16, 32},
+                          std::pair<std::uint32_t, std::uint64_t>{16, 2048}),
+        ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Srrip,
+                          ReplacementPolicy::Random)));
 
 }  // namespace
 }  // namespace voyager::sim

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "prefetch/stride.hpp"
 #include "util/random.hpp"
 #include "sim/core_model.hpp"
@@ -29,6 +32,26 @@ TEST(OoOCore, PureComputeReachesWidth)
     OoOCore core(cfg.core);
     const auto r = core.run(compute_only(100000), mem);
     EXPECT_NEAR(r.ipc, 4.0, 0.05);
+}
+
+TEST(OoOCore, ZeroRobOrWidthThrows)
+{
+    CoreConfig rob;
+    rob.rob_size = 0;
+    try {
+        OoOCore core(rob);
+        ADD_FAILURE() << "rob_size 0 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("rob_size"), std::string::npos);
+    }
+    CoreConfig width;
+    width.width = 0;
+    try {
+        OoOCore core(width);
+        ADD_FAILURE() << "width 0 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("width"), std::string::npos);
+    }
 }
 
 TEST(OoOCore, EmptyTraceIsZero)

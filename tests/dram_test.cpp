@@ -5,7 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/dram.hpp"
+#include "util/random.hpp"
 
 namespace voyager::sim {
 namespace {
@@ -106,6 +112,118 @@ TEST(Dram, StreamingEnjoysRowHits)
         now += 100;
     }
     EXPECT_GT(d.stats().row_hit_rate(), 0.5);
+}
+
+TEST(Dram, ZeroGeometryThrowsNamingTheField)
+{
+    const std::pair<const char *, std::uint32_t DramConfig::*> fields[] = {
+        {"channels", &DramConfig::channels}, {"ranks", &DramConfig::ranks},
+        {"banks", &DramConfig::banks},       {"rows", &DramConfig::rows},
+        {"columns", &DramConfig::columns},
+    };
+    for (const auto &[name, field] : fields) {
+        DramConfig c = cfg();
+        c.*field = 0;
+        try {
+            Dram d(c);
+            ADD_FAILURE() << name << " = 0 was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/**
+ * The address mapping and timing written with division and modulo, as
+ * Dram computed them for every geometry before power-of-two ones moved
+ * to shifts and masks.
+ */
+class RefDram
+{
+  public:
+    explicit RefDram(const DramConfig &c)
+        : cfg_(c), banks_(std::size_t{c.channels} * c.ranks * c.banks),
+          bus_free_(c.channels, 0)
+    {
+    }
+
+    std::uint32_t
+    access(Addr line, Cycle now)
+    {
+        const std::uint32_t channel = line % cfg_.channels;
+        std::uint64_t rest = line / cfg_.channels;
+        rest /= cfg_.columns;
+        const std::uint32_t bank = rest % cfg_.banks;
+        rest /= cfg_.banks;
+        const std::uint32_t rank = rest % cfg_.ranks;
+        rest /= cfg_.ranks;
+        const std::uint32_t row = rest % cfg_.rows;
+        Bank &b = banks_[(std::size_t{channel} * cfg_.ranks + rank) *
+                             cfg_.banks + bank];
+        const Cycle start = std::max(now, b.busy_until);
+        std::uint32_t prep = 0;
+        if (b.open_row == row) {
+            ++stats.row_hits;
+        } else {
+            ++stats.row_misses;
+            prep = cfg_.t_rp + cfg_.t_rcd;
+            b.open_row = row;
+        }
+        Cycle &bus = bus_free_[channel];
+        const Cycle burst_start =
+            std::max<Cycle>(start + prep + cfg_.t_cas, bus);
+        bus = burst_start + cfg_.burst_cycles;
+        b.busy_until = start + prep + cfg_.burst_cycles;
+        ++stats.requests;
+        const auto latency =
+            static_cast<std::uint32_t>(burst_start + cfg_.burst_cycles - now);
+        stats.total_latency += latency;
+        return latency;
+    }
+
+    DramStats stats;
+
+  private:
+    struct Bank
+    {
+        Cycle busy_until = 0;
+        std::uint32_t open_row = ~0u;
+    };
+    DramConfig cfg_;
+    std::vector<Bank> banks_;
+    std::vector<Cycle> bus_free_;
+};
+
+TEST(Dram, MatchesDivisionMappingOnEveryGeometry)
+{
+    DramConfig odd = cfg();
+    odd.channels = 3;
+    odd.ranks = 2;
+    odd.banks = 5;
+    odd.rows = 7;
+    odd.columns = 6;
+    DramConfig rows_not_pow2 = DramConfig{};
+    rows_not_pow2.rows = 1000;
+    for (const DramConfig &c : {cfg(), DramConfig{}, odd, rows_not_pow2}) {
+        Dram d(c);
+        RefDram ref(c);
+        Rng rng(c.channels * 131 + c.rows);
+        Cycle now = 0;
+        for (int i = 0; i < 20000; ++i) {
+            // Mostly nearby lines (row hits, bank conflicts), some far.
+            const Addr line = rng.next_below(4) == 0
+                                  ? rng.next_below(Addr{1} << 40)
+                                  : rng.next_below(4096);
+            ASSERT_EQ(d.access(line, now), ref.access(line, now))
+                << "request " << i << " line " << line;
+            now += rng.next_below(40);
+        }
+        EXPECT_EQ(d.stats().requests, ref.stats.requests);
+        EXPECT_EQ(d.stats().row_hits, ref.stats.row_hits);
+        EXPECT_EQ(d.stats().row_misses, ref.stats.row_misses);
+        EXPECT_EQ(d.stats().total_latency, ref.stats.total_latency);
+    }
 }
 
 }  // namespace

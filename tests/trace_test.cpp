@@ -64,6 +64,23 @@ TEST(Trace, TruncateShortens)
     EXPECT_EQ(t.size(), 3u);
 }
 
+TEST(Trace, TruncateReleasesTheTail)
+{
+    Trace t("x");
+    t.reserve(4096);
+    for (std::uint64_t i = 0; i < 4096; ++i)
+        t.append(acc(i * 3, 0x400000 + (i % 7) * 4, 0x1000 + i * 64,
+                     i % 5 != 0));
+    const std::vector<MemoryAccess> before = t.accesses();
+    t.truncate(100);
+    ASSERT_EQ(t.size(), 100u);
+    for (std::size_t i = 0; i < 100; ++i)
+        EXPECT_EQ(t.accesses()[i], before[i]) << i;
+    EXPECT_EQ(t.instructions(), before[99].instr_id + 1);
+    // A generator's full-length buffer must not outlive the cut.
+    EXPECT_LE(t.accesses().capacity(), 100u);
+}
+
 TEST(Trace, BinaryRoundTrip)
 {
     Trace t("roundtrip");

@@ -103,6 +103,16 @@ train_out=$(./build/bench/bench_micro_nn --op=train \
 printf '%s\n' "$train_out" | grep -q "BM_TrainStep/64 "
 printf '%s\n' "$train_out" | grep -q "BM_AdamStep"
 
+# Simulator smoke (DESIGN.md section 5.22): whole simulations at the
+# repository benchmark's sim_rules shape, the cache probe, and the
+# rule prefetchers with tables larger than the host's caches must run.
+echo "== bench_micro_prefetchers simulator smoke =="
+sim_out=$(./build/bench/bench_micro_prefetchers \
+    --benchmark_filter='BM_Simulate|BM_CacheAccess|BM_PrefetcherOnAccessLarge' \
+    --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$sim_out" | grep -q "BM_Simulate/domino"
+printf '%s\n' "$sim_out" | grep -q "BM_CacheAccess"
+
 # Portable build (DESIGN.md sections 5.10 and 5.21): without
 # -march=native the 64-byte vector type of the GEMM tile and the gate
 # kernel lowers to SSE. The nn and int8 suites, every golden, the
@@ -110,16 +120,22 @@ printf '%s\n' "$train_out" | grep -q "BM_AdamStep"
 # the same bits as the MR-row tile) and the core suite (model and
 # trainer: the pack-free training step's bits) must pass there too,
 # warnings as errors (a vector passed by value would trip -Wpsabi).
-echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden, serve, core =="
+# The simulator, prefetcher and trace suites (the pinned SimResults and
+# the cache and DRAM differentials of section 5.22) run there as well.
+echo "== portable (VOYAGER_NATIVE=OFF): nn, quantized, golden, serve, core, sim, prefetch, trace =="
 cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release \
     -DVOYAGER_NATIVE=OFF -DVOYAGER_WERROR=ON
 cmake --build build-portable -j1 \
-    --target test_nn test_quantized test_golden test_serve test_core
+    --target test_nn test_quantized test_golden test_serve test_core \
+    test_sim test_prefetch test_trace
 ./build-portable/tests/test_nn
 ./build-portable/tests/test_quantized
 ./build-portable/tests/test_golden
 ./build-portable/tests/test_serve
 ./build-portable/tests/test_core
+./build-portable/tests/test_sim
+./build-portable/tests/test_prefetch
+./build-portable/tests/test_trace
 
 # Flat-hash smoke (DESIGN.md section 5.15): tiny key counts — this
 # proves the sweeps execute and emit a schema-valid micro_hash.*
