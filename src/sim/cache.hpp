@@ -68,8 +68,9 @@ void export_cache_stats(StatRegistry &reg, const std::string &prefix,
  * State is kept per way in flat arrays (tag, LRU stamp, prefetch bit,
  * RRPV), row-major by set, so a probe walks one dense run of tags. An
  * invalid way holds the tag kNoEviction and LRU stamp 0; line
- * ~0 is reserved for that and never names a real line (lines are
- * addresses shifted right by kLineBits). The set count must be a
+ * ~0 is reserved for that, and callers never pass it (demand lines are
+ * addresses shifted right by kLineBits, and MemoryHierarchy drops
+ * prefetch candidates that wrapped to it). The set count must be a
  * power of two: sets are indexed by `line & (sets - 1)`.
  */
 class Cache

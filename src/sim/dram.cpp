@@ -9,38 +9,40 @@ namespace voyager::sim {
 
 namespace {
 
+/** `v`, or std::invalid_argument naming `field` unless it is a power
+ *  of two (which excludes 0). */
 std::uint32_t
 checked_dim(std::uint32_t v, const char *field)
 {
     if (v == 0)
         throw std::invalid_argument(std::string("dram: ") + field +
                                     " must be positive");
+    if (!std::has_single_bit(v))
+        throw std::invalid_argument(std::string("dram: ") + field + " = " +
+                                    std::to_string(v) +
+                                    " is not a power of two");
     return v;
+}
+
+std::uint32_t
+log2_dim(std::uint32_t v, const char *field)
+{
+    return static_cast<std::uint32_t>(std::countr_zero(checked_dim(v, field)));
 }
 
 }  // namespace
 
 Dram::Dram(const DramConfig &cfg)
     : cfg_(cfg),
-      banks_(static_cast<std::size_t>(checked_dim(cfg.channels,
-                                                  "channels")) *
-             checked_dim(cfg.ranks, "ranks") *
-             checked_dim(cfg.banks, "banks")),
+      skip_bits_(log2_dim(cfg.channels, "channels") +
+                 log2_dim(cfg.columns, "columns")),
+      bank_bits_(log2_dim(cfg.banks, "banks")),
+      rank_bits_(log2_dim(cfg.ranks, "ranks")),
+      banks_(static_cast<std::size_t>(cfg.channels) * cfg.ranks *
+             cfg.banks),
       bus_free_(cfg.channels, 0)
 {
     checked_dim(cfg.rows, "rows");
-    checked_dim(cfg.columns, "columns");
-    pow2_ = std::has_single_bit(cfg.channels) &&
-            std::has_single_bit(cfg.ranks) &&
-            std::has_single_bit(cfg.banks) &&
-            std::has_single_bit(cfg.rows) &&
-            std::has_single_bit(cfg.columns);
-    if (pow2_) {
-        skip_bits_ = static_cast<std::uint32_t>(
-            std::countr_zero(cfg.channels) + std::countr_zero(cfg.columns));
-        bank_bits_ = static_cast<std::uint32_t>(std::countr_zero(cfg.banks));
-        rank_bits_ = static_cast<std::uint32_t>(std::countr_zero(cfg.ranks));
-    }
 }
 
 Dram::Location
@@ -49,27 +51,16 @@ Dram::locate(Addr line) const
     // Address mapping row:rank:bank:column:channel — adjacent lines
     // spread across channels, then walk a row's columns, so spatial
     // streams enjoy row-buffer hits while banks still interleave.
-    std::uint32_t channel, bank, rank, row;
-    if (pow2_) {
-        // The same mapping, as x % 2^k == x & (2^k - 1) and
-        // x / 2^k == x >> k for unsigned x.
-        channel = static_cast<std::uint32_t>(line & (cfg_.channels - 1));
-        std::uint64_t rest = line >> skip_bits_;  // drop the column too
-        bank = static_cast<std::uint32_t>(rest & (cfg_.banks - 1));
-        rest >>= bank_bits_;
-        rank = static_cast<std::uint32_t>(rest & (cfg_.ranks - 1));
-        rest >>= rank_bits_;
-        row = static_cast<std::uint32_t>(rest & (cfg_.rows - 1));
-    } else {
-        channel = static_cast<std::uint32_t>(line % cfg_.channels);
-        std::uint64_t rest = line / cfg_.channels;
-        rest /= cfg_.columns;  // column index (not needed for timing)
-        bank = static_cast<std::uint32_t>(rest % cfg_.banks);
-        rest /= cfg_.banks;
-        rank = static_cast<std::uint32_t>(rest % cfg_.ranks);
-        rest /= cfg_.ranks;
-        row = static_cast<std::uint32_t>(rest % cfg_.rows);
-    }
+    // Every dimension is a power of two, so x % 2^k is x & (2^k - 1)
+    // and x / 2^k is x >> k.
+    const auto channel =
+        static_cast<std::uint32_t>(line & (cfg_.channels - 1));
+    std::uint64_t rest = line >> skip_bits_;  // drop channel and column
+    const auto bank = static_cast<std::uint32_t>(rest & (cfg_.banks - 1));
+    rest >>= bank_bits_;
+    const auto rank = static_cast<std::uint32_t>(rest & (cfg_.ranks - 1));
+    rest >>= rank_bits_;
+    const auto row = static_cast<std::uint32_t>(rest & (cfg_.rows - 1));
     return {channel,
             (static_cast<std::size_t>(channel) * cfg_.ranks + rank) *
                     cfg_.banks + bank,

@@ -16,7 +16,8 @@
 
 namespace voyager::sim {
 
-/** DRAM geometry and timing (in CPU cycles). */
+/** DRAM geometry (each dimension a power of two) and timing (in CPU
+ *  cycles). */
 struct DramConfig
 {
     std::uint32_t channels = 2;
@@ -68,8 +69,8 @@ void export_dram_stats(StatRegistry &reg, const std::string &prefix,
 class Dram
 {
   public:
-    /** @throws std::invalid_argument when channels, ranks, banks,
-     *  rows or columns is 0. */
+    /** @throws std::invalid_argument naming the field when channels,
+     *  ranks, banks, rows or columns is not a power of two (or is 0). */
     explicit Dram(const DramConfig &cfg);
 
     /**
@@ -98,11 +99,9 @@ class Dram
     Location locate(Addr line) const;
 
     DramConfig cfg_;
-    /** Every dimension is a power of two: map by shift and mask. */
-    bool pow2_ = false;
-    std::uint32_t skip_bits_ = 0;   ///< channel + column bits
-    std::uint32_t bank_bits_ = 0;
-    std::uint32_t rank_bits_ = 0;
+    std::uint32_t skip_bits_;   ///< log2(channels) + log2(columns)
+    std::uint32_t bank_bits_;   ///< log2(banks)
+    std::uint32_t rank_bits_;   ///< log2(ranks)
     std::vector<Bank> banks_;        // channels * ranks * banks
     std::vector<Cycle> bus_free_;    // per channel
     DramStats stats_;

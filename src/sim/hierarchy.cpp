@@ -88,6 +88,12 @@ MemoryHierarchy::issue_prefetches(const LlcAccess &trigger, Cycle now)
             inflight_.contains(cand)) {
             continue;  // redundant prefetch: filtered, not counted
         }
+        // Line ~0 is the caches' invalid-way tag, so it must never
+        // reach a Cache. Demand lines (addresses >> kLineBits) cannot
+        // take it; only a candidate that wrapped below line 0 (e.g. a
+        // descending stride) can, and it names no real line.
+        if (cand == Cache::kNoEviction)
+            continue;
         if (inflight_.size() >= cfg_.max_inflight_prefetches) {
             ++pf_.dropped_inflight_full;
             break;

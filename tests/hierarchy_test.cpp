@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "prefetch/stride.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
 
@@ -140,6 +143,41 @@ TEST(Hierarchy, RedundantPrefetchNotIssued)
     MemoryHierarchy mem(cfg, &pf);
     mem.access(load(0, 1), 0);
     EXPECT_EQ(mem.prefetch_counters().issued, 0u);
+}
+
+TEST(Hierarchy, DescendingStrideWrapsPastLineZero)
+{
+    HierarchyConfig cfg;
+    prefetch::IpStride pf(/*degree=*/2, /*confidence_threshold=*/1);
+    MemoryHierarchy mem(cfg, &pf);
+    // Fill line ~0's LLC set (the last) so it has no empty way. The
+    // strides between these lines all differ, so IpStride (per PC)
+    // never gains confidence and issues nothing.
+    const Addr sets = cfg.llc.num_sets();
+    std::vector<Addr> filler;
+    for (Addr k = 0, step = 0; filler.size() < cfg.llc.assoc; k += ++step)
+        filler.push_back(k * sets + (sets - 1));
+    Cycle now = 0;
+    for (Addr line : filler) {
+        mem.access({now, 0x500000, line << kLineBits, true}, now);
+        now += 1000;
+    }
+    ASSERT_EQ(mem.prefetch_counters().issued, 0u);
+
+    // Lines 3, 2, 1 train stride -1; at line 1 the degree-2 candidates
+    // are line 0 and line 0 - 1, which wraps to ~0, the invalid tag.
+    for (Addr line : {3, 2, 1}) {
+        mem.access(load(now, line), now);
+        now += 1000;
+    }
+    EXPECT_EQ(mem.prefetch_counters().issued, 1u);  // line 0 only
+    // The prefetch of line 0 lands and serves the demand; line ~0's
+    // set still holds every filler line.
+    mem.access(load(now, 0), now + 100000);
+    EXPECT_EQ(mem.useful_prefetches(), 1u);
+    EXPECT_EQ(mem.llc().stats().prefetch_fills, 1u);
+    for (Addr line : filler)
+        EXPECT_TRUE(mem.llc().contains(line)) << line;
 }
 
 TEST(Hierarchy, CoverageMatchesDefinition)
