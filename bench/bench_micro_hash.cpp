@@ -13,7 +13,7 @@
  *
  * For each distribution it sweeps insert, lookup-hit and lookup-miss,
  * reports ns/op for both containers plus the speedup, and emits the
- * closed `micro_hash.*` stat namespace (tools/check_stats_schema.py).
+ * closed `micro_hash.*` stat namespace (declared in util/stat_schema.cpp).
  *
  * The hit/miss probe loops pipeline the flat table with
  * `prefetch(key)` a few probes ahead, exactly as the hot call sites

@@ -6,7 +6,7 @@
  * xf_decode / xf_mixed family, reporting simulator accuracy, coverage
  * and the measured prefetcher cost per LLC access.
  *
- * Exports two closed stat namespaces (tools/check_stats_schema.py):
+ * Exports two closed stat namespaces (declared in util/stat_schema.cpp):
  *   transformer.<workload>.<prefetcher>.{acc,cov,us_per_access}
  *   prefetch.stream_group.*   (StreamGroup internals, aggregated
  *                              over every workload in the run)

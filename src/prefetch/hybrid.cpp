@@ -1,5 +1,6 @@
 #include "prefetch/hybrid.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "prefetch/best_offset.hpp"
@@ -13,8 +14,10 @@ Hybrid::Hybrid(std::string name,
     : name_(std::move(name)), parts_(std::move(parts)),
       degrees_(std::move(degrees))
 {
-    if (parts_.size() != degrees_.size() || parts_.empty())
-        throw std::invalid_argument("hybrid: parts/degrees mismatch");
+    if (parts_.size() != degrees_.size() || parts_.empty() ||
+        std::count(degrees_.begin(), degrees_.end(), 0u) > 0)
+        throw std::invalid_argument(
+            "hybrid: needs parts, each with a non-zero degree");
 }
 
 std::vector<Addr>
@@ -42,19 +45,23 @@ Hybrid::storage_bytes() const
 std::unique_ptr<Prefetcher>
 make_isb_bo_hybrid(std::uint32_t total_degree)
 {
-    // Equal split; degree 1 falls back to ISB alone (paper Fig. 9).
-    const std::uint32_t isb_share =
-        total_degree <= 1 ? total_degree : total_degree / 2;
-    const std::uint32_t bo_share =
-        total_degree <= 1 ? 0 : total_degree - isb_share;
+    if (total_degree == 0)
+        throw std::invalid_argument("isb+bo: degree must be at least 1");
+    // Equal split, BO taking the odd one; degree 1 leaves BO no share,
+    // so the hybrid is ISB alone (paper Fig. 9).
+    const std::uint32_t isb_share = std::max(1u, total_degree / 2);
+    const std::uint32_t bo_share = total_degree - isb_share;
     std::vector<std::unique_ptr<Prefetcher>> parts;
-    parts.push_back(std::make_unique<Isb>(isb_share == 0 ? 1 : isb_share));
-    BestOffsetConfig bo_cfg;
-    bo_cfg.degree = bo_share == 0 ? 1 : bo_share;
-    parts.push_back(std::make_unique<BestOffset>(bo_cfg));
-    return std::make_unique<Hybrid>(
-        "isb+bo", std::move(parts),
-        std::vector<std::uint32_t>{isb_share, bo_share});
+    parts.push_back(std::make_unique<Isb>(isb_share));
+    std::vector<std::uint32_t> degrees{isb_share};
+    if (bo_share > 0) {
+        BestOffsetConfig bo_cfg;
+        bo_cfg.degree = bo_share;
+        parts.push_back(std::make_unique<BestOffset>(bo_cfg));
+        degrees.push_back(bo_share);
+    }
+    return std::make_unique<Hybrid>("isb+bo", std::move(parts),
+                                    std::move(degrees));
 }
 
 }  // namespace voyager::prefetch

@@ -18,8 +18,8 @@ using voyager::Addr;
 
 /**
  * Runs several component prefetchers and interleaves their candidates
- * up to a total degree. Components are trained on every access even
- * when their share of the degree is zero.
+ * up to a total degree. Every component is trained on every access and has
+ * a share of at least one candidate.
  */
 class Hybrid final : public Prefetcher
 {
@@ -28,6 +28,8 @@ class Hybrid final : public Prefetcher
      * @param name display name, e.g. "isb+bo"
      * @param parts components in priority order
      * @param degrees per-component degree budget (same arity as parts)
+     * @throws std::invalid_argument on no parts, an arity mismatch or
+     *         a zero degree.
      */
     Hybrid(std::string name,
            std::vector<std::unique_ptr<Prefetcher>> parts,
@@ -43,7 +45,10 @@ class Hybrid final : public Prefetcher
     std::vector<std::uint32_t> degrees_;
 };
 
-/** The paper's ISB+BO hybrid with equal degree split. */
+/**
+ * The paper's ISB+BO hybrid with equal degree split; at degree 1 it is
+ * ISB alone. @throws std::invalid_argument on degree 0.
+ */
 std::unique_ptr<Prefetcher> make_isb_bo_hybrid(std::uint32_t total_degree);
 
 }  // namespace voyager::prefetch

@@ -1,7 +1,6 @@
 #include "serve/heuristic.hpp"
 
 #include "core/decode.hpp"
-#include "prefetch/hybrid.hpp"
 #include "prefetch/registry.hpp"
 
 namespace voyager::serve {
@@ -9,6 +8,9 @@ namespace voyager::serve {
 HeuristicEngine::HeuristicEngine(std::string kind, std::uint32_t degree)
     : kind_(std::move(kind)), degree_(degree == 0 ? 1 : degree)
 {
+    // Build one now so an unknown kind throws here, not from observe()
+    // after the server has already taken a batch off its queue.
+    prefetch::make_prefetcher(kind_, degree_);
 }
 
 sim::Prefetcher &
@@ -16,11 +18,8 @@ HeuristicEngine::tenant_engine(std::uint32_t t)
 {
     auto it = bank_.find(t);
     if (it == bank_.end()) {
-        std::unique_ptr<sim::Prefetcher> pf =
-            kind_ == "isb_bo"
-                ? prefetch::make_isb_bo_hybrid(degree_)
-                : prefetch::make_prefetcher(kind_, degree_);
-        it = bank_.emplace(t, std::move(pf)).first;
+        it = bank_.emplace(t, prefetch::make_prefetcher(kind_, degree_))
+                 .first;
     }
     return *it->second;
 }

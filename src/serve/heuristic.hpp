@@ -32,8 +32,9 @@ class HeuristicEngine
   public:
     /**
      * @param kind prefetch::make_prefetcher name ("stream_group",
-     *        "isb", ...) or "isb_bo" for the §5.14 hybrid.
+     *        "isb", "isb+bo", ...).
      * @param degree candidate lines requested per access.
+     * @throws std::invalid_argument naming an unknown kind.
      */
     explicit HeuristicEngine(std::string kind = "stream_group",
                              std::uint32_t degree = 2);

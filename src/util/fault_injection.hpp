@@ -123,7 +123,7 @@ struct FaultStats
 FaultStats &fault_stats();
 
 /** Export the counters into `reg` as the closed `fault.*` namespace
- *  (tools/check_stats_schema.py enforces the name set). */
+ *  (declared in util/stat_schema.cpp). */
 void export_fault_stats(StatRegistry &reg);
 
 /** What write_file_atomic should do for the current write. */

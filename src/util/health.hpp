@@ -40,7 +40,7 @@ struct HealthStats
 HealthStats &health_stats();
 
 /** Export the counters into `reg` as the closed `health.*` namespace
- *  (tools/check_stats_schema.py enforces the name set). */
+ *  (declared in util/stat_schema.cpp). */
 void export_health_stats(StatRegistry &reg);
 
 }  // namespace voyager

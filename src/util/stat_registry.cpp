@@ -5,12 +5,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/stat_schema.hpp"
+
 namespace voyager {
 
-namespace {
-
 const char *
-kind_name(StatKind k)
+stat_kind_name(StatKind k)
 {
     switch (k) {
       case StatKind::Counter:
@@ -24,8 +24,6 @@ kind_name(StatKind k)
     }
     return "unknown";
 }
-
-}  // namespace
 
 std::string
 json_escape(std::string_view s)
@@ -105,17 +103,16 @@ StatRegistry::Entry &
 StatRegistry::get_or_create(const std::string &name, StatKind kind,
                             bool volatile_stat)
 {
-    if (name.empty())
-        throw std::runtime_error("StatRegistry: empty stat name");
     auto it = entries_.find(name);
     if (it != entries_.end()) {
         if (it->second.kind != kind)
             throw std::runtime_error(
                 "StatRegistry: name collision on '" + name + "': is " +
-                kind_name(it->second.kind) + ", requested " +
-                kind_name(kind));
+                stat_kind_name(it->second.kind) + ", requested " +
+                stat_kind_name(kind));
         return it->second;
     }
+    check_new_stat(name, kind);
     Entry e;
     e.kind = kind;
     e.volatile_stat = volatile_stat;
@@ -208,7 +205,7 @@ StatRegistry::write_json(std::ostream &os, const EmitOptions &opts) const
         if (e.volatile_stat && !opts.include_volatile)
             continue;
         os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-           << "\": {\"kind\": \"" << kind_name(e.kind) << "\"";
+           << "\": {\"kind\": \"" << stat_kind_name(e.kind) << "\"";
         switch (e.kind) {
           case StatKind::Counter:
             os << ", \"value\": " << e.counter;
@@ -256,7 +253,7 @@ StatRegistry::write_csv(std::ostream &os, const EmitOptions &opts) const
     os << "name,kind,field,value\n";
     const auto row = [&os](const std::string &name, StatKind k,
                            const char *field, const std::string &value) {
-        os << name << ',' << kind_name(k) << ',' << field << ','
+        os << name << ',' << stat_kind_name(k) << ',' << field << ','
            << value << '\n';
     };
     for (const auto &[name, e] : entries_) {

@@ -6,8 +6,10 @@
  * versioned JSON/CSV emission (no third-party dependencies).
  *
  * Conventions (see DESIGN.md §5.11):
- *  - Names are dotted paths; segments are lower-case
+ *  - Names are dotted paths; segments are non-empty lower-case
  *    `[a-z0-9_+-]` (stat_name_segment() sanitizes free-form labels).
+ *  - Names under a closed namespace (util/stat_schema.hpp) must be
+ *    declared there with their kind.
  *  - Exporters *assign* values (`reg.counter(n) = v`) so re-exporting
  *    the same result is idempotent; only timers *accumulate*.
  *  - Wall-clock-dependent stats are registered volatile so golden-run
@@ -46,6 +48,9 @@ enum class StatKind : std::uint8_t
     Histogram = 3, ///< fixed-bucket Histogram with quantiles
 };
 
+/** "counter", "gauge", "running" or "histogram". */
+const char *stat_kind_name(StatKind k);
+
 /** JSON-escape a string (quotes, backslashes, control characters). */
 std::string json_escape(std::string_view s);
 
@@ -75,7 +80,9 @@ struct StatEmitOptions
  * get-or-create: requesting an existing name with the same kind
  * returns the existing entry; requesting it with a different kind (or
  * different histogram geometry) throws std::runtime_error — the name
- * collision the unit tests pin down.
+ * collision the unit tests pin down. Creating a name also throws when
+ * check_new_stat() rejects it: a bad segment, or a closed-namespace
+ * name that is undeclared or declared with another kind.
  */
 class StatRegistry
 {

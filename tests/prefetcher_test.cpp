@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "prefetch/best_offset.hpp"
 #include "prefetch/domino.hpp"
 #include "prefetch/hybrid.hpp"
@@ -287,11 +289,29 @@ TEST(Hybrid, SplitsDegreeBetweenComponents)
 
 TEST(Hybrid, DegreeOneFallsBackToIsb)
 {
+    // At degree 1 BO has no share, so the hybrid is ISB alone: the
+    // same candidates, call for call, and no BO storage. A unit-stride
+    // run (where BO would have a best offset) and a repeated irregular
+    // sequence over three PCs (where ISB predicts).
+    std::vector<std::pair<Addr, Addr>> seq;
+    for (Addr i = 0; i < 3000; ++i)
+        seq.emplace_back(1, 1000 + i);
+    Rng rng(7);
+    std::vector<std::pair<Addr, Addr>> irregular;
+    for (int i = 0; i < 500; ++i)
+        irregular.emplace_back(2 + rng.next_u64() % 3,
+                               rng.next_u64() % 100000);
+    for (int rep = 0; rep < 3; ++rep)
+        seq.insert(seq.end(), irregular.begin(), irregular.end());
     auto h = make_isb_bo_hybrid(1);
-    std::vector<Addr> p;
-    for (int i = 0; i < 3000; ++i)
-        p = h->on_access(acc(1, 1000 + static_cast<Addr>(i)));
-    EXPECT_LE(p.size(), 1u);
+    Isb isb(1);
+    const auto got = feed(*h, seq);
+    const auto want = feed(isb, seq);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(std::count_if(want.begin(), want.end(),
+                            [](const auto &p) { return !p.empty(); }),
+              500);
+    EXPECT_EQ(h->storage_bytes(), isb.storage_bytes());
 }
 
 TEST(Hybrid, RejectsEmptyParts)
@@ -299,6 +319,12 @@ TEST(Hybrid, RejectsEmptyParts)
     EXPECT_THROW(
         Hybrid("bad", {}, {}),
         std::invalid_argument);
+    // A part with no share of the degree is left out, not built.
+    std::vector<std::unique_ptr<Prefetcher>> parts;
+    parts.push_back(std::make_unique<Isb>(1));
+    EXPECT_THROW(Hybrid("bad", std::move(parts), {0}),
+                 std::invalid_argument);
+    EXPECT_THROW(make_isb_bo_hybrid(0), std::invalid_argument);
 }
 
 TEST(Registry, CreatesAllNames)

@@ -281,6 +281,18 @@ TEST(PrefetchServerTest, ConstructorRejectsInvalidLadders)
                                        {"h", nullptr, &heur, {}}}));
 }
 
+TEST(PrefetchServerTest, HeuristicRungRejectsUnknownKindAtConstruction)
+{
+    try {
+        serve::HeuristicEngine bogus("bogus");
+        FAIL() << "HeuristicEngine accepted kind 'bogus'";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_NO_THROW(serve::HeuristicEngine("isb+bo"));
+}
+
 TEST(PrefetchServerTest, ExportsClosedServeNamespace)
 {
     StubPredictor pred(4);

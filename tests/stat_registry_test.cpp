@@ -63,6 +63,19 @@ TEST(StatRegistry, EmptyNameThrows)
     EXPECT_THROW(reg.counter(""), std::runtime_error);
 }
 
+TEST(StatRegistry, BadNameSegmentThrows)
+{
+    StatRegistry reg;
+    for (const char *name :
+         {".a", "a.", "a..b", "A.b", "a.b c", "a/b", "a.b\n", "\xc3\xa9"}) {
+        SCOPED_TRACE(name);
+        EXPECT_THROW(reg.counter(name), std::runtime_error);
+        EXPECT_THROW(reg.gauge(name), std::runtime_error);
+    }
+    EXPECT_EQ(reg.size(), 0u);
+    EXPECT_NO_THROW(reg.counter("isb+bo.d-1.x_2"));
+}
+
 TEST(StatRegistry, UnknownKindThrows)
 {
     StatRegistry reg;

@@ -23,6 +23,12 @@ Checks the versioned schema every bench binary emits via --stats_json
 
 Stat names must be dotted paths of [a-z0-9_+-] segments. Exits 1 and
 prints every violation on the first offending file.
+
+This checks a document's structure only. Which names each closed
+stat namespace holds, and their kinds, is declared once in
+src/util/stat_schema.cpp and enforced by StatRegistry when each name
+is created, so every document the registry writes already satisfies
+it.
 """
 
 import json
@@ -37,308 +43,6 @@ KIND_FIELDS = {
     "running": {"count", "mean", "stddev", "min", "max", "sum"},
     "histogram": {"lo", "hi", "total", "underflow", "overflow",
                   "p50", "p90", "p99", "buckets"},
-}
-
-# The checkpoint subsystem's closed stat namespace: every
-# `checkpoint.*` name must be one of these counters (emitted by
-# core::export_checkpoint_stats).
-CHECKPOINT_STATS = {
-    "checkpoint.writes": "counter",
-    "checkpoint.bytes": "counter",
-    "checkpoint.resumes": "counter",
-}
-
-# The int8 inference engine's closed namespaces (DESIGN.md section
-# 5.13). `nn.qgemm.*` comes from nn::export_op_stats; any stat name
-# containing a `.compress.int8.` infix (benches prefix it with e.g.
-# `fig17.<bench>`) must end with one of these leaves.
-QGEMM_STATS = {
-    "nn.qgemm.calls": "counter",
-    "nn.qgemm.ops": "counter",
-    "nn.qgemm.seconds": "gauge",
-}
-
-# The training watchdog's closed stat namespace (DESIGN.md section
-# 5.14): every `health.*` name must be one of these counters (emitted
-# by voyager::export_health_stats).
-HEALTH_STATS = {
-    "health.checks": "counter",
-    "health.skipped_steps": "counter",
-    "health.nonfinite_loss": "counter",
-    "health.loss_spikes": "counter",
-    "health.nonfinite_state": "counter",
-    "health.rollbacks": "counter",
-    "health.lr_backoffs": "counter",
-    "health.degraded_runs": "counter",
-}
-
-# The serving layer's closed stat namespace (DESIGN.md sections 5.16
-# and 5.19, emitted by serve::PrefetchServer::export_stats). Latency/
-# queue histograms are virtual-tick based and deterministic; the
-# wall-clock forward timer is volatile, so it appears in bench
-# documents but never in the checked-in goldens. The degradation
-# ladder additionally emits per-rung counters under
-# serve.degrade.<engine>.{responses,deadline_miss}.
-SERVE_STATS = {
-    "serve.requests": "counter",
-    "serve.responses": "counter",
-    "serve.batches": "counter",
-    "serve.flushes": "counter",
-    "serve.padded_rows": "counter",
-    "serve.lines": "counter",
-    "serve.tenants": "counter",
-    "serve.queue.cap": "counter",
-    "serve.queue.shed": "counter",
-    "serve.queue.shed_quota": "counter",
-    "serve.queue.dropped_expired": "counter",
-    "serve.expired_rows": "counter",
-    "serve.deadline.miss": "counter",
-    "serve.deadline.met": "counter",
-    "serve.deadline.slack": "histogram",
-    "serve.stall_ticks": "counter",
-    "serve.misroutes_repaired": "counter",
-    "serve.degrade.rung": "gauge",
-    "serve.degrade.steps_down": "counter",
-    "serve.degrade.steps_up": "counter",
-    "serve.degrade.predictor_faults": "counter",
-    "serve.batch_size": "histogram",
-    "serve.queue_depth": "histogram",
-    "serve.wait_ticks": "histogram",
-    "serve.forward.seconds": "gauge",
-    "serve.forward.count": "counter",
-}
-
-# Degradation-ladder rung labels (TokenPredictor::engine names plus
-# the terminal heuristic rung and the test stub) and their per-rung
-# counter leaves.
-SERVE_ENGINES = {"fp32", "int8", "distilled", "heuristic", "stub"}
-SERVE_ENGINE_LEAVES = {
-    "responses": "counter",
-    "deadline_miss": "counter",
-}
-
-
-def check_serve(name, body, errors):
-    expected = SERVE_STATS.get(name)
-    if expected is None:
-        parts = name.split(".")
-        if (len(parts) == 4 and parts[1] == "degrade"
-                and parts[2] in SERVE_ENGINES):
-            expected = SERVE_ENGINE_LEAVES.get(parts[3])
-    if expected is None:
-        errors.append(
-            f"{name}: unknown serve stat (expected one of "
-            f"{sorted(SERVE_STATS)}, or "
-            f"serve.degrade.<engine>.<leaf> with engine in "
-            f"{sorted(SERVE_ENGINES)}, leaf in "
-            f"{sorted(SERVE_ENGINE_LEAVES)})")
-    elif isinstance(body, dict) and body.get("kind") != expected:
-        errors.append(f"{name}: must be a {expected}, got "
-                      f"{body.get('kind')!r}")
-
-# The fault-injection subsystem's closed stat namespace (emitted by
-# voyager::export_fault_stats).
-FAULT_STATS = {
-    "fault.plan_sites": "counter",
-    "fault.injected_grad": "counter",
-    "fault.injected_weight": "counter",
-    "fault.injected_loss_spike": "counter",
-    "fault.injected_io": "counter",
-    "fault.injected_trace": "counter",
-    "fault.serve.stalls": "counter",
-    "fault.serve.poisoned": "counter",
-    "fault.serve.floods": "counter",
-    "fault.serve.misroutes": "counter",
-}
-
-# The transformer-workload sweep's closed namespace (DESIGN.md
-# section 5.17, emitted by bench_transformer):
-#   transformer.<workload>.<prefetcher>.{acc,cov,us_per_access}
-# acc/cov are deterministic simulator ratios; us_per_access is
-# wall-clock and registered volatile (absent from golden documents).
-TRANSFORMER_WORKLOADS = {"xf_prefill", "xf_decode", "xf_mixed"}
-TRANSFORMER_PREFETCHERS = {"isb", "stms", "bo", "stream_group",
-                           "voyager"}
-TRANSFORMER_LEAVES = {
-    "acc": "gauge",
-    "cov": "gauge",
-    "us_per_access": "gauge",
-}
-
-# The StreamGroup prefetcher's closed stat namespace (DESIGN.md
-# section 5.17, emitted by prefetch::StreamGroup::export_stats under
-# the "prefetch.stream_group" prefix in bench_transformer).
-STREAM_GROUP_STATS = {
-    "prefetch.stream_group.storage_bytes": "counter",
-    "prefetch.stream_group.streams_created": "counter",
-    "prefetch.stream_group.fast_tracks": "counter",
-    "prefetch.stream_group.stream_evictions": "counter",
-    "prefetch.stream_group.pc_evictions": "counter",
-    "prefetch.stream_group.patterns_recorded": "counter",
-    "prefetch.stream_group.prefetches_issued": "counter",
-    "prefetch.stream_group.table_pcs": "counter",
-    "prefetch.stream_group.groups": "counter",
-}
-
-
-def check_transformer(name, body, errors):
-    parts = name.split(".")
-    expected = None
-    if (len(parts) == 4 and parts[1] in TRANSFORMER_WORKLOADS
-            and parts[2] in TRANSFORMER_PREFETCHERS):
-        expected = TRANSFORMER_LEAVES.get(parts[3])
-    if expected is None:
-        errors.append(
-            f"{name}: unknown transformer stat (expected "
-            f"transformer.<workload>.<prefetcher>.<leaf> with "
-            f"workload in {sorted(TRANSFORMER_WORKLOADS)}, "
-            f"prefetcher in {sorted(TRANSFORMER_PREFETCHERS)}, "
-            f"leaf in {sorted(TRANSFORMER_LEAVES)})")
-    elif isinstance(body, dict) and body.get("kind") != expected:
-        errors.append(f"{name}: must be a {expected}, got "
-                      f"{body.get('kind')!r}")
-
-
-# The flat-hash micro-benchmark's closed namespace (DESIGN.md section
-# 5.15, emitted by bench_micro_hash):
-#   micro_hash.<dist>.<op>.{flat_ns,std_ns,speedup}  wall-clock gauges
-#   micro_hash.<dist>.{keys,flat_storage_bytes}      counters
-MICRO_HASH_DISTS = {"vocab", "isb"}
-MICRO_HASH_OPS = {"insert", "hit", "hit_serial", "miss"}
-MICRO_HASH_OP_LEAVES = {
-    "flat_ns": "gauge",
-    "std_ns": "gauge",
-    "speedup": "gauge",
-}
-MICRO_HASH_DIST_LEAVES = {
-    "keys": "counter",
-    "flat_storage_bytes": "counter",
-}
-
-
-def check_micro_hash(name, body, errors):
-    parts = name.split(".")
-    expected = None
-    if (len(parts) == 4 and parts[1] in MICRO_HASH_DISTS
-            and parts[2] in MICRO_HASH_OPS):
-        expected = MICRO_HASH_OP_LEAVES.get(parts[3])
-    elif len(parts) == 3 and parts[1] in MICRO_HASH_DISTS:
-        expected = MICRO_HASH_DIST_LEAVES.get(parts[2])
-    if expected is None:
-        errors.append(
-            f"{name}: unknown micro_hash stat (expected "
-            f"micro_hash.<dist>.<op>.<leaf> with dist in "
-            f"{sorted(MICRO_HASH_DISTS)}, op in "
-            f"{sorted(MICRO_HASH_OPS)}, leaf in "
-            f"{sorted(MICRO_HASH_OP_LEAVES)}; or "
-            f"micro_hash.<dist>.<leaf> with leaf in "
-            f"{sorted(MICRO_HASH_DIST_LEAVES)})")
-    elif isinstance(body, dict) and body.get("kind") != expected:
-        errors.append(f"{name}: must be a {expected}, got "
-                      f"{body.get('kind')!r}")
-
-
-# The tabularized serving path's closed namespaces (DESIGN.md section
-# 5.18). `distill.table.*` comes from core::TabularTable::export_stats,
-# `distill.serve.*` from serve::TabularPredictor::export_stats, and
-# the remaining names from bench_distill: per-cell frontier stats
-# under `distill.frontier.b<budget>_h<backoff>.<leaf>` plus a handful
-# of top-level teacher/baseline/headline stats. The *_us_per_sample
-# and speedup gauges are wall-clock and registered volatile (absent
-# from golden documents).
-DISTILL_TABLE_STATS = {
-    "distill.table.budget_bytes": "counter",
-    "distill.table.bytes": "counter",
-    "distill.table.entry_bytes": "counter",
-    "distill.table.observations": "counter",
-    "distill.table.l1_entries": "counter",
-    "distill.table.l1_capacity": "counter",
-    "distill.table.l1_admits": "counter",
-    "distill.table.l1_evictions": "counter",
-    "distill.table.l2_entries": "counter",
-    "distill.table.l2_capacity": "counter",
-    "distill.table.l2_admits": "counter",
-    "distill.table.l2_evictions": "counter",
-}
-
-DISTILL_SERVE_STATS = {
-    "distill.serve.probes": "counter",
-    "distill.serve.l1_hits": "counter",
-    "distill.serve.l2_hits": "counter",
-    "distill.serve.misses": "counter",
-    "distill.serve.fallback_rows": "counter",
-    "distill.serve.fallback_batches": "counter",
-    "distill.serve.drift_events": "counter",
-    "distill.serve.drift_rows": "counter",
-    "distill.serve.tenants": "counter",
-    "distill.serve.hit_rate": "gauge",
-}
-
-DISTILL_FRONTIER_CELL = re.compile(r"^b[0-9]+_h[0-9]+$")
-DISTILL_FRONTIER_LEAVES = {
-    "budget_bytes": "counter",
-    "bytes": "counter",
-    "l1_entries": "counter",
-    "l2_entries": "counter",
-    "l1_hits": "counter",
-    "l2_hits": "counter",
-    "misses": "counter",
-    "hit_rate": "gauge",
-    "unified": "gauge",
-    "table_unified": "gauge",
-    "us_per_sample": "gauge",
-    "table_us_per_sample": "gauge",
-    "speedup_vs_int8": "gauge",
-}
-
-DISTILL_TOP_STATS = {
-    "distill.eval_samples": "counter",
-    "distill.teacher.unified": "gauge",
-    "distill.teacher.int8_unified": "gauge",
-    "distill.fp32_us_per_sample": "gauge",
-    "distill.int8_us_per_sample": "gauge",
-    "distill.best.speedup_vs_int8": "gauge",
-    "distill.best.unified": "gauge",
-    "distill.best.budget_bytes": "counter",
-}
-
-
-def check_distill(name, body, errors):
-    expected = None
-    if name.startswith("distill.table."):
-        expected = DISTILL_TABLE_STATS.get(name)
-    elif name.startswith("distill.serve."):
-        expected = DISTILL_SERVE_STATS.get(name)
-    elif name.startswith("distill.frontier."):
-        parts = name.split(".")
-        if (len(parts) == 4
-                and DISTILL_FRONTIER_CELL.match(parts[2])):
-            expected = DISTILL_FRONTIER_LEAVES.get(parts[3])
-    else:
-        expected = DISTILL_TOP_STATS.get(name)
-    if expected is None:
-        errors.append(
-            f"{name}: unknown distill stat (expected one of "
-            f"{sorted(DISTILL_TABLE_STATS)} + "
-            f"{sorted(DISTILL_SERVE_STATS)} + "
-            f"{sorted(DISTILL_TOP_STATS)}, or "
-            f"distill.frontier.b<budget>_h<backoff>.<leaf> with "
-            f"leaf in {sorted(DISTILL_FRONTIER_LEAVES)})")
-    elif isinstance(body, dict) and body.get("kind") != expected:
-        errors.append(f"{name}: must be a {expected}, got "
-                      f"{body.get('kind')!r}")
-
-
-COMPRESS_INT8_LEAVES = {
-    "scale_min": "gauge",
-    "scale_max": "gauge",
-    "max_error": "gauge",
-    "rms_error": "gauge",
-    "unified": "gauge",
-    "unified_fp32": "gauge",
-    "bytes": "counter",
-    "us_per_sample": "gauge",
-    "fp32_us_per_sample": "gauge",
 }
 
 
@@ -437,67 +141,6 @@ def check_document(doc, errors):
     for name, body in stats.items():
         check_name(name, errors)
         check_stat(name, body, errors)
-        if name.startswith("checkpoint."):
-            expected = CHECKPOINT_STATS.get(name)
-            if expected is None:
-                errors.append(f"{name}: unknown checkpoint stat "
-                              f"(expected one of "
-                              f"{sorted(CHECKPOINT_STATS)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
-        if name.startswith("nn.qgemm."):
-            expected = QGEMM_STATS.get(name)
-            if expected is None:
-                errors.append(f"{name}: unknown nn.qgemm stat "
-                              f"(expected one of {sorted(QGEMM_STATS)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
-        if name.startswith("health."):
-            expected = HEALTH_STATS.get(name)
-            if expected is None:
-                errors.append(f"{name}: unknown health stat "
-                              f"(expected one of "
-                              f"{sorted(HEALTH_STATS)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
-        if name.startswith("fault."):
-            expected = FAULT_STATS.get(name)
-            if expected is None:
-                errors.append(f"{name}: unknown fault stat "
-                              f"(expected one of {sorted(FAULT_STATS)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
-        if name.startswith("serve."):
-            check_serve(name, body, errors)
-        if name.startswith("micro_hash."):
-            check_micro_hash(name, body, errors)
-        if name.startswith("distill."):
-            check_distill(name, body, errors)
-        if name.startswith("transformer."):
-            check_transformer(name, body, errors)
-        if name.startswith("prefetch.stream_group."):
-            expected = STREAM_GROUP_STATS.get(name)
-            if expected is None:
-                errors.append(f"{name}: unknown stream_group stat "
-                              f"(expected one of "
-                              f"{sorted(STREAM_GROUP_STATS)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
-        if ".compress.int8." in name:
-            leaf = name.split(".compress.int8.", 1)[1]
-            expected = COMPRESS_INT8_LEAVES.get(leaf)
-            if expected is None:
-                errors.append(f"{name}: unknown compress.int8 leaf "
-                              f"(expected one of "
-                              f"{sorted(COMPRESS_INT8_LEAVES)})")
-            elif isinstance(body, dict) and body.get("kind") != expected:
-                errors.append(f"{name}: must be a {expected}, got "
-                              f"{body.get('kind')!r}")
 
 
 def main(argv):
