@@ -25,14 +25,12 @@ compress_model(VoyagerModel &model, const CompressConfig &cfg)
         const double sparsity =
             is_embedding ? cfg.prune_sparsity : cfg.dense_layer_sparsity;
         nn::magnitude_prune(*w, sparsity);
-        if (cfg.quantize_int8) {
-            // Scale axis mirrors QMatrix: embedding tables and bias
-            // row vectors per-row, 2-D weights per output channel.
-            const nn::QuantAxis axis =
-                is_embedding || w->rows() == 1 ? nn::QuantAxis::Row
-                                               : nn::QuantAxis::Col;
-            err.merge(nn::quantize_dequantize_int8(*w, axis));
-        }
+        // Scale axis mirrors QMatrix: embedding tables and bias row
+        // vectors per-row, 2-D weights per output channel.
+        const nn::QuantAxis axis = is_embedding || w->rows() == 1
+                                       ? nn::QuantAxis::Row
+                                       : nn::QuantAxis::Col;
+        err.merge(nn::quantize_dequantize_int8(*w, axis));
         const auto s32 = nn::measure_storage(*w, 32);
         const auto s8 = nn::measure_storage(*w, 8);
         rep.params += s32.elements;

@@ -33,7 +33,6 @@ struct CompressionReport
 struct CompressConfig
 {
     double prune_sparsity = 0.8;
-    bool quantize_int8 = true;
     /** Heads/LSTM kept denser than embeddings if set below sparsity. */
     double dense_layer_sparsity = 0.5;
 };

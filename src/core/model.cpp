@@ -367,9 +367,7 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
     Matrix dpage;
     Matrix doffset;
     double loss = 0.0;
-    const bool use_bce =
-        cfg_.multi_label && cfg_.multi_label_loss == MultiLabelLoss::Bce;
-    if (use_bce) {
+    if (cfg_.use_bce()) {
         // Paper §4.4: independent sigmoids, every candidate positive.
         std::vector<std::vector<std::int32_t>> pl(batch.batch);
         std::vector<std::vector<std::int32_t>> ol(batch.batch);
@@ -490,10 +488,8 @@ std::vector<std::vector<TokenPrediction>>
 VoyagerModel::predict(const VoyagerBatch &batch, std::size_t k)
 {
     infer(batch);
-    const bool use_bce =
-        cfg_.multi_label && cfg_.multi_label_loss == MultiLabelLoss::Bce;
     return rank_token_predictions(page_logits_, offset_logits_,
-                                  use_bce, k);
+                                  cfg_.use_bce(), k);
 }
 
 void

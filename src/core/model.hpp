@@ -65,6 +65,15 @@ struct VoyagerConfig
     std::vector<LabelScheme> schemes = all_label_schemes();
     std::uint64_t seed = 42;
 
+    /** Whether the heads are independent sigmoids trained with BCE
+     *  rather than softmaxes. Training and the ranking of both the
+     *  fp32 and the int8 engine read this one rule. */
+    bool
+    use_bce() const
+    {
+        return multi_label && multi_label_loss == MultiLabelLoss::Bce;
+    }
+
     /** Offset-embedding width (the paper's 25600 = 256 x 100). */
     std::size_t
     offset_embed_dim() const

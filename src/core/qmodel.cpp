@@ -40,10 +40,8 @@ std::vector<std::vector<TokenPrediction>>
 QuantizedVoyagerModel::predict(const VoyagerBatch &batch, std::size_t k)
 {
     forward(batch);
-    const bool use_bce =
-        cfg_.multi_label && cfg_.multi_label_loss == MultiLabelLoss::Bce;
     return rank_token_predictions(page_logits_, offset_logits_,
-                                  use_bce, k);
+                                  cfg_.use_bce(), k);
 }
 
 std::uint64_t

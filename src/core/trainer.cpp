@@ -170,16 +170,14 @@ train_online(SequenceModel &model, std::size_t stream_size,
         std::string snapshot;
         bool have_snapshot = false;
         const RngState rng_before = rng.state();
-        if (cfg.health.enabled) {
-            try {
-                std::ostringstream snap;
-                model.save_state(snap);
-                snapshot = std::move(snap).str();
-                have_snapshot = true;
-            } catch (const CheckpointError &) {
-                // No snapshot support: any unhealthy epoch degrades
-                // immediately instead of rolling back.
-            }
+        try {
+            std::ostringstream snap;
+            model.save_state(snap);
+            snapshot = std::move(snap).str();
+            have_snapshot = true;
+        } catch (const CheckpointError &) {
+            // No snapshot support: any unhealthy epoch degrades
+            // immediately instead of rolling back.
         }
         const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t attempt = 0;; ++attempt) {
@@ -204,8 +202,7 @@ train_online(SequenceModel &model, std::size_t stream_size,
                 res.trained_samples += train_idx.size();
             }
             loss = fault_injector().on_epoch_loss(e, loss);
-            if (!cfg.health.enabled ||
-                monitor.check(loss, model) == HealthVerdict::Healthy) {
+            if (monitor.check(loss, model) == HealthVerdict::Healthy) {
                 res.epoch_losses.push_back(loss);
                 // The backoff is scoped to the retries: once the
                 // epoch passes the health check, later epochs resume

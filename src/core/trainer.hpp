@@ -71,8 +71,6 @@ class SequenceModel
 /** Watchdog thresholds and recovery policy (DESIGN.md §5.14). */
 struct HealthConfig
 {
-    /** Master switch; off restores the pre-watchdog trainer. */
-    bool enabled = true;
     /** Spike = loss > factor x rolling baseline mean... */
     double loss_spike_factor = 8.0;
     /** ...but only when it also exceeds this floor, so the noisy

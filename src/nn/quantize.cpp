@@ -1,5 +1,7 @@
 #include "nn/quantize.hpp"
 
+#include "nn/qmatrix.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -61,29 +63,16 @@ quantize_dequantize_int8(Matrix &m, QuantAxis axis)
 {
     QuantError err;
     err.elements = m.size();
-    const std::size_t channels =
-        axis == QuantAxis::Row ? m.rows() : m.cols();
-    for (std::size_t ch = 0; ch < channels; ++ch) {
-        const std::size_t len =
-            axis == QuantAxis::Row ? m.cols() : m.rows();
-        float maxabs = 0.0f;
-        for (std::size_t i = 0; i < len; ++i) {
-            const float v =
-                axis == QuantAxis::Row ? m.at(ch, i) : m.at(i, ch);
-            maxabs = std::max(maxabs, std::fabs(v));
-        }
-        if (maxabs == 0.0f)
-            continue;  // all-zero channel: exactly representable
-        const float scale = maxabs / 127.0f;
-        const float inv = 127.0f / maxabs;
-        for (std::size_t i = 0; i < len; ++i) {
-            float &w = axis == QuantAxis::Row ? m.at(ch, i)
-                                              : m.at(i, ch);
+    const bool by_col = axis == QuantAxis::Col;
+    // QMatrix row ch is channel ch: row ch of m, or column ch by_col.
+    const QMatrix q = QMatrix::quantize(m, by_col);
+    for (std::size_t ch = 0; ch < q.rows(); ++ch) {
+        const std::int8_t *qrow = q.row(ch);
+        for (std::size_t i = 0; i < q.cols(); ++i) {
+            float &w = by_col ? m.at(i, ch) : m.at(ch, i);
             if (w == 0.0f)
-                continue;  // pruned zeros stay exactly zero
-            const auto q = std::clamp<long>(std::lround(w * inv),
-                                            -127, 127);
-            const float deq = static_cast<float>(q) * scale;
+                continue;  // pruned zeros keep their bits, sign too
+            const float deq = static_cast<float>(qrow[i]) * q.scale(ch);
             const float e = std::fabs(deq - w);
             err.max_err = std::max(err.max_err, e);
             err.sum_sq += static_cast<double>(e) * e;

@@ -4,9 +4,9 @@
  * int8 quantization (paper §5.4: 80% pruning -> 5-7x, int8 -> 4x,
  * with <1% accuracy loss). Quantization here is quantize-dequantize
  * so the compressed model can be re-evaluated with the ordinary
- * float kernels; the scheme matches QMatrix (qmatrix.hpp) bit for
- * bit, so the int8 engine built from a compressed model executes the
- * *same* weights the float kernels see.
+ * float kernels; the grid is QMatrix's own (qmatrix.hpp), so the
+ * int8 engine built from a compressed model executes the *same*
+ * weights the float kernels see.
  */
 #pragma once
 
@@ -45,10 +45,11 @@ struct QuantError
 
 /**
  * Symmetric per-channel int8 quantize-dequantize: each channel
- * (row or column per `axis`) snaps to the grid scale * [-127, 127]
- * with scale = max|channel| / 127. Matches QMatrix::quantize exactly,
- * so re-quantizing the result is the identity and pruned zeros stay
- * exactly zero. @return max and RMS error introduced.
+ * (row or column per `axis`) snaps to the grid of
+ * QMatrix::quantize, scale * [-127, 127] with scale = max|channel| /
+ * 127, so re-quantizing the result is the identity. Zeros are left
+ * untouched, so pruned zeros keep their bits.
+ * @return max and RMS error introduced.
  */
 QuantError quantize_dequantize_int8(Matrix &m,
                                     QuantAxis axis = QuantAxis::Row);

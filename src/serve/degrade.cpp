@@ -5,7 +5,7 @@ namespace voyager::serve {
 DegradeVerdict
 ServeHealthMonitor::on_response(bool deadline_miss)
 {
-    if (!cfg_.enabled || cfg_.window == 0)
+    if (cfg_.window == 0)
         return DegradeVerdict::Hold;
     ++window_responses_;
     if (deadline_miss)

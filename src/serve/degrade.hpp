@@ -26,9 +26,8 @@ class HeuristicEngine;
 /** Thresholds of the degradation state machine. */
 struct DegradeConfig
 {
-    /** Master switch; disabled ⇒ the server stays on rung 0. */
-    bool enabled = true;
-    /** Responses per observation window. */
+    /** Responses per observation window; 0 turns the monitor off
+     *  and the server stays on rung 0. */
     std::uint32_t window = 64;
     /** Step down when a window's deadline-miss rate reaches this. */
     double miss_rate_down = 0.5;

@@ -1,13 +1,18 @@
 #include "serve/heuristic.hpp"
 
+#include <stdexcept>
+
 #include "core/decode.hpp"
 #include "prefetch/registry.hpp"
 
 namespace voyager::serve {
 
 HeuristicEngine::HeuristicEngine(std::string kind, std::uint32_t degree)
-    : kind_(std::move(kind)), degree_(degree == 0 ? 1 : degree)
+    : kind_(std::move(kind)), degree_(degree)
 {
+    if (degree_ == 0)
+        throw std::invalid_argument("HeuristicEngine: degree must be "
+                                    "positive, got 0");
     // Build one now so an unknown kind throws here, not from observe()
     // after the server has already taken a batch off its queue.
     prefetch::make_prefetcher(kind_, degree_);

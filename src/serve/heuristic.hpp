@@ -34,7 +34,8 @@ class HeuristicEngine
      * @param kind prefetch::make_prefetcher name ("stream_group",
      *        "isb", "isb+bo", ...).
      * @param degree candidate lines requested per access.
-     * @throws std::invalid_argument naming an unknown kind.
+     * @throws std::invalid_argument naming an unknown kind or a zero
+     *         degree.
      */
     explicit HeuristicEngine(std::string kind = "stream_group",
                              std::uint32_t degree = 2);

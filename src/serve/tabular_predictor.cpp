@@ -27,7 +27,7 @@ TabularPredictor::record(TenantState &ts, bool hit)
     const bool drifted =
         static_cast<double>(ts.window_hits) <
         cfg_.min_hit_rate * static_cast<double>(ts.window_total);
-    if (drifted && cfg_.drift_fallback) {
+    if (drifted) {
         ts.forced_left = cfg_.drift_window;
         ++n_drift_events_;
     }

@@ -31,8 +31,6 @@ struct TabularServeConfig
     /** Window hit-rate floor; below it the tenant is served neurally
      *  for the next `drift_window` rows, then probed again. */
     double min_hit_rate = 0.5;
-    /** Master switch; off = fall back on table miss only. */
-    bool drift_fallback = true;
 };
 
 /** Table probes with a batched neural fallback. */

@@ -27,7 +27,6 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg), assoc_(cfg.assoc)
     tags_.assign(ways, kNoEviction);
     lru_.assign(ways, 0);
     prefetched_.assign(ways, 0);
-    rrpv_.assign(ways, 3);
 }
 
 std::uint32_t
@@ -74,7 +73,6 @@ Cache::touch(std::size_t i)
 {
     ++stats_.hits;
     lru_[i] = ++lru_clock_;
-    rrpv_[i] = 0;  // SRRIP: near-immediate re-reference on hit
     if (prefetched_[i]) {
         prefetched_[i] = 0;
         ++stats_.useful_prefetches;
@@ -82,48 +80,21 @@ Cache::touch(std::size_t i)
 }
 
 std::uint32_t
-Cache::pick_victim(std::size_t base)
+Cache::pick_victim(std::size_t base) const
 {
-    if (cfg_.policy == ReplacementPolicy::Lru) {
-        // Valid ways carry stamps >= 1 and invalid ways 0, so the
-        // first minimum is the first empty way when there is one and
-        // the least recently used way otherwise.
-        const std::uint64_t *lru = lru_.data() + base;
-        std::uint32_t victim = 0;
-        std::uint64_t oldest = lru[0];
-        for (std::uint32_t w = 1; w < assoc_; ++w) {
-            if (lru[w] < oldest) {
-                oldest = lru[w];
-                victim = w;
-            }
-        }
-        return victim;
-    }
-
-    // Empty ways always win.
-    const Addr *tags = tags_.data() + base;
-    for (std::uint32_t w = 0; w < assoc_; ++w)
-        if (tags[w] == kNoEviction)
-            return w;
-
-    if (cfg_.policy == ReplacementPolicy::Srrip) {
-        // Find a distant (rrpv==3) block, aging the set until one
-        // exists.
-        std::uint8_t *rrpv = rrpv_.data() + base;
-        while (true) {
-            for (std::uint32_t w = 0; w < assoc_; ++w)
-                if (rrpv[w] >= 3)
-                    return w;
-            for (std::uint32_t w = 0; w < assoc_; ++w)
-                ++rrpv[w];
+    // Valid ways carry stamps >= 1 and invalid ways 0, so the first
+    // minimum is the first empty way when there is one and the least
+    // recently used way otherwise.
+    const std::uint64_t *lru = lru_.data() + base;
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = lru[0];
+    for (std::uint32_t w = 1; w < assoc_; ++w) {
+        if (lru[w] < oldest) {
+            oldest = lru[w];
+            victim = w;
         }
     }
-
-    // Random: xorshift; any way can be the victim.
-    rand_state_ ^= rand_state_ << 13;
-    rand_state_ ^= rand_state_ >> 7;
-    rand_state_ ^= rand_state_ << 17;
-    return static_cast<std::uint32_t>(rand_state_ % assoc_);
+    return victim;
 }
 
 Addr
@@ -151,7 +122,6 @@ Cache::install(std::size_t base, Addr line, bool prefetched)
     tags_[i] = line;
     prefetched_[i] = prefetched ? 1 : 0;
     lru_[i] = ++lru_clock_;
-    rrpv_[i] = 2;  // SRRIP long re-reference insertion
     if (prefetched)
         ++stats_.prefetch_fills;
     return evicted;
@@ -161,19 +131,6 @@ bool
 Cache::contains(Addr line) const
 {
     return find_way(set_base(line), line) != assoc_;
-}
-
-bool
-Cache::invalidate(Addr line)
-{
-    const std::size_t base = set_base(line);
-    const std::uint32_t w = find_way(base, line);
-    if (w == assoc_)
-        return false;
-    tags_[base + w] = kNoEviction;
-    prefetched_[base + w] = 0;
-    lru_[base + w] = 0;
-    return true;
 }
 
 void

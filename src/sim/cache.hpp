@@ -14,14 +14,6 @@
 
 namespace voyager::sim {
 
-/** Replacement policy of a cache level. */
-enum class ReplacementPolicy : std::uint8_t
-{
-    Lru = 0,     ///< true LRU (the CRC2/ChampSim default)
-    Srrip = 1,   ///< 2-bit static RRIP (Jaleel et al., ISCA 2010)
-    Random = 2,  ///< pseudo-random victim
-};
-
 /** Geometry and latency of one cache level. */
 struct CacheConfig
 {
@@ -29,7 +21,6 @@ struct CacheConfig
     std::uint64_t size_bytes = 64 * 1024;
     std::uint32_t assoc = 4;
     std::uint32_t latency = 3;  ///< access latency in cycles
-    ReplacementPolicy policy = ReplacementPolicy::Lru;
 
     std::uint64_t num_sets() const
     {
@@ -61,12 +52,13 @@ void export_cache_stats(StatRegistry &reg, const std::string &prefix,
                         const CacheStats &s);
 
 /**
- * A set-associative cache over line addresses with LRU, SRRIP or
- * random replacement. Tracks per-block prefetch bits so the hierarchy
- * can compute prefetch accuracy (useful vs. evicted-unused).
+ * A set-associative cache over line addresses with true LRU
+ * replacement (the CRC2/ChampSim default). Tracks per-block prefetch
+ * bits so the hierarchy can compute prefetch accuracy (useful vs.
+ * evicted-unused).
  *
- * State is kept per way in flat arrays (tag, LRU stamp, prefetch bit,
- * RRPV), row-major by set, so a probe walks one dense run of tags. An
+ * State is kept per way in flat arrays (tag, LRU stamp, prefetch bit),
+ * row-major by set, so a probe walks one dense run of tags. An
  * invalid way holds the tag kNoEviction and LRU stamp 0; line
  * ~0 is reserved for that, and callers never pass it (demand lines are
  * addresses shifted right by kLineBits, and MemoryHierarchy drops
@@ -90,8 +82,8 @@ class Cache
     bool access(Addr line);
 
     /**
-     * Install a line (demand fill or prefetch fill). Evicts per the
-     * replacement policy, empty ways first.
+     * Install a line (demand fill or prefetch fill). Evicts the
+     * least recently used way, empty ways first.
      * @param prefetched marks the block as brought in by a prefetch.
      * @return the evicted line address, or kNoEviction.
      */
@@ -108,9 +100,6 @@ class Cache
     /** Probe without updating LRU or stats. */
     bool contains(Addr line) const;
 
-    /** Invalidate a line if present. @return true if it was present. */
-    bool invalidate(Addr line);
-
     /** Sentinel returned by fill() when no block was evicted; also
      *  the tag of an invalid way. */
     static constexpr Addr kNoEviction = ~0ull;
@@ -124,7 +113,7 @@ class Cache
 
     /** Way index of `line` in the set at `base`, or assoc_. */
     std::uint32_t find_way(std::size_t base, Addr line) const;
-    std::uint32_t pick_victim(std::size_t base);
+    std::uint32_t pick_victim(std::size_t base) const;
     /** Hit bookkeeping of access() for the way at index i. */
     void touch(std::size_t i);
     /** Install `line` (absent from the set at `base`) over a victim. */
@@ -137,9 +126,7 @@ class Cache
     std::vector<Addr> tags_;               ///< kNoEviction = invalid
     std::vector<std::uint64_t> lru_;       ///< larger = newer; 0 = invalid
     std::vector<std::uint8_t> prefetched_;
-    std::vector<std::uint8_t> rrpv_;       ///< re-reference prediction
     std::uint64_t lru_clock_ = 0;
-    std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
     CacheStats stats_;
 };
 

@@ -48,31 +48,31 @@ quote_bytes(std::string_view s, std::size_t max = 48)
 
 /** Throw a TraceError naming file, record/line and offending bytes. */
 [[noreturn]] void
-fail(const TraceReadOptions &opts, std::uint64_t record,
+fail(const std::string &file, std::uint64_t record,
      const char *record_label, const std::string &problem,
      std::string_view bytes)
 {
     std::string msg = "trace: " + problem;
-    if (!opts.file.empty())
-        msg += " in " + opts.file;
+    if (!file.empty())
+        msg += " in " + file;
     if (record != TraceError::kNoRecord)
         msg += strfmt(" at %s %llu", record_label,
                       static_cast<unsigned long long>(record));
     if (!bytes.empty())
         msg += ": '" + quote_bytes(bytes) + "'";
-    throw TraceError(msg, opts.file, record);
+    throw TraceError(msg, file, record);
 }
 
-/** Read a header POD; header corruption is never resyncable. */
+/** Read a header POD. */
 template <typename T>
 T
-read_header_pod(std::istream &is, const TraceReadOptions &opts,
+read_header_pod(std::istream &is, const std::string &file,
                 const char *what)
 {
     T v{};
     is.read(reinterpret_cast<char *>(&v), sizeof(v));
     if (!is) {
-        fail(opts, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord, "",
              std::string("truncated stream reading ") + what, {});
     }
     return v;
@@ -151,66 +151,49 @@ Trace::save_binary(std::ostream &os) const
 }
 
 Trace
-Trace::load_binary(std::istream &is)
+Trace::load_binary(std::istream &is, const std::string &file)
 {
-    return load_binary(is, TraceReadOptions{});
-}
-
-Trace
-Trace::load_binary(std::istream &is, const TraceReadOptions &opts,
-                   TraceReadReport *report)
-{
-    TraceReadReport rep;
-    const bool resync =
-        opts.on_error == TraceReadOptions::OnError::Resync;
-
-    // The header is never resyncable: without magic/version/counts
-    // there is nothing to resynchronize against.
-    const auto magic = read_header_pod<std::uint32_t>(is, opts, "magic");
+    const auto magic = read_header_pod<std::uint32_t>(is, file, "magic");
     if (magic != kMagic) {
-        fail(opts, TraceError::kNoRecord, "", "bad magic",
+        fail(file, TraceError::kNoRecord, "", "bad magic",
              std::string_view(reinterpret_cast<const char *>(&magic),
                               sizeof(magic)));
     }
     const auto version =
-        read_header_pod<std::uint32_t>(is, opts, "version");
+        read_header_pod<std::uint32_t>(is, file, "version");
     if (version != kVersion) {
-        fail(opts, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord, "",
              strfmt("unsupported version %u", version), {});
     }
     Trace t;
     const auto name_len =
-        read_header_pod<std::uint32_t>(is, opts, "name length");
+        read_header_pod<std::uint32_t>(is, file, "name length");
     if (name_len > kMaxNameLen) {
-        fail(opts, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord, "",
              strfmt("implausible name length %u", name_len), {});
     }
     t.name_.resize(name_len);
     is.read(t.name_.data(), name_len);
     if (!is) {
-        fail(opts, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord, "",
              "truncated stream reading name", {});
     }
     t.instructions_ =
-        read_header_pod<std::uint64_t>(is, opts, "instruction count");
+        read_header_pod<std::uint64_t>(is, file, "instruction count");
     const auto n =
-        read_header_pod<std::uint64_t>(is, opts, "access count");
+        read_header_pod<std::uint64_t>(is, file, "access count");
     // A corrupt count must not become a giant allocation; the record
-    // loop stops at truncation regardless.
+    // loop fails at truncation regardless.
     t.accesses_.reserve(
         static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
 
     constexpr std::size_t kRecSize = 3 * sizeof(std::uint64_t) + 1;
     std::uint64_t last_id = 0;
-    bool have_last = false;
     for (std::uint64_t i = 0; i < n; ++i) {
         char buf[kRecSize];
         is.read(buf, kRecSize);
         if (!is) {
-            rep.truncated = true;
-            if (resync)
-                break;
-            fail(opts, i, "record", "truncated stream",
+            fail(file, i, "record", "truncated stream",
                  std::string_view(
                      buf, static_cast<std::size_t>(is.gcount())));
         }
@@ -223,24 +206,15 @@ Trace::load_binary(std::istream &is, const TraceReadOptions &opts,
         std::string problem;
         if (kind_byte > 1)
             problem = strfmt("bad access-kind byte 0x%02x", kind_byte);
-        else if (have_last && a.instr_id < last_id)
+        else if (a.instr_id < last_id)
             problem = "non-monotonic instr_id";
-        if (!problem.empty()) {
-            if (resync) {
-                ++rep.skipped;
-                continue;
-            }
-            fail(opts, i, "record", problem,
+        if (!problem.empty())
+            fail(file, i, "record", problem,
                  std::string_view(buf, kRecSize));
-        }
         a.is_load = kind_byte != 0;
         last_id = a.instr_id;
-        have_last = true;
         t.append(a);
-        ++rep.records;
     }
-    if (report)
-        *report = rep;
     return t;
 }
 
@@ -255,23 +229,12 @@ Trace::save_text(std::ostream &os) const
 }
 
 Trace
-Trace::load_text(std::istream &is)
-{
-    return load_text(is, TraceReadOptions{});
-}
-
-Trace
-Trace::load_text(std::istream &is, const TraceReadOptions &opts,
-                 TraceReadReport *report)
+Trace::load_text(std::istream &is, const std::string &file)
 {
     Trace t;
-    TraceReadReport rep;
-    const bool resync =
-        opts.on_error == TraceReadOptions::OnError::Resync;
     std::string line;
     std::uint64_t lineno = 0;
     std::uint64_t last_id = 0;
-    bool have_last = false;
     while (std::getline(is, line)) {
         ++lineno;
         const std::string body = trim(line);
@@ -290,27 +253,18 @@ Trace::load_text(std::istream &is, const TraceReadOptions &opts,
             problem = strfmt("bad access kind '%c'", kind);
         else if (ls >> extra)
             problem = "trailing bytes after record";
-        else if (have_last && id < last_id)
+        else if (id < last_id)
             problem = "non-monotonic instr_id";
-        if (!problem.empty()) {
-            if (resync) {
-                ++rep.skipped;
-                continue;
-            }
-            fail(opts, lineno, "line", problem, body);
-        }
+        if (!problem.empty())
+            fail(file, lineno, "line", problem, body);
         MemoryAccess a;
         a.instr_id = id;
         a.pc = pc;
         a.addr = addr;
         a.is_load = kind == 'L';
         last_id = id;
-        have_last = true;
         t.append(a);
-        ++rep.records;
     }
-    if (report)
-        *report = rep;
     return t;
 }
 
@@ -326,23 +280,10 @@ Trace::save_binary_file(const std::string &path) const
 Trace
 Trace::load_binary_file(const std::string &path)
 {
-    TraceReadOptions opts;
-    opts.file = path;
-    return load_binary_file(path, opts);
-}
-
-Trace
-Trace::load_binary_file(const std::string &path,
-                        const TraceReadOptions &opts,
-                        TraceReadReport *report)
-{
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw std::runtime_error("trace: cannot open " + path);
-    TraceReadOptions named = opts;
-    if (named.file.empty())
-        named.file = path;
-    return load_binary(is, named, report);
+    return load_binary(is, path);
 }
 
 }  // namespace voyager::trace

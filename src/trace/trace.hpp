@@ -44,28 +44,6 @@ class TraceError : public std::runtime_error
     std::uint64_t record_;
 };
 
-/** Policy and context for the trace readers. */
-struct TraceReadOptions
-{
-    enum class OnError : std::uint8_t
-    {
-        Fail = 0,   ///< throw TraceError at the first bad record
-        Resync = 1, ///< skip bad records / stop at truncation
-    };
-
-    OnError on_error = OnError::Fail;
-    /** Source file name, used in error messages and TraceError. */
-    std::string file;
-};
-
-/** What a Resync-policy read had to tolerate. */
-struct TraceReadReport
-{
-    std::uint64_t records = 0;  ///< well-formed records kept
-    std::uint64_t skipped = 0;  ///< malformed records dropped
-    bool truncated = false;     ///< stream ended mid-record
-};
-
 /** Footprint statistics of a trace (paper Table 2). */
 struct TraceStats
 {
@@ -115,36 +93,25 @@ class Trace
 
     /** Serialize to a compact binary stream. */
     void save_binary(std::ostream &os) const;
-    /** Deserialize from save_binary output (Fail policy).
-     *  @throws TraceError on any malformed input. */
-    static Trace load_binary(std::istream &is);
     /**
-     * Deserialize with an explicit error policy. Fail throws a
-     * TraceError naming the file, record index and offending bytes;
-     * Resync skips malformed records and stops at truncation,
-     * reporting both through `report` (when non-null).
+     * Deserialize from save_binary output.
+     * @param file source name for error messages and TraceError.
+     * @throws TraceError at the first malformed byte, naming the file,
+     *         the record index and the offending bytes.
      */
     static Trace load_binary(std::istream &is,
-                             const TraceReadOptions &opts,
-                             TraceReadReport *report = nullptr);
+                             const std::string &file = {});
 
     /** One access per line: instr_id pc addr kind. */
     void save_text(std::ostream &os) const;
-    /** Parse save_text output (Fail policy). @throws TraceError. */
-    static Trace load_text(std::istream &is);
-    /** Parse with an explicit error policy (see the binary overload;
-     *  the record index in errors/reports is the 1-based line). */
-    static Trace load_text(std::istream &is,
-                           const TraceReadOptions &opts,
-                           TraceReadReport *report = nullptr);
+    /** Parse save_text output. @throws TraceError as load_binary
+     *  does; its record index is the 1-based line. */
+    static Trace load_text(std::istream &is, const std::string &file = {});
 
     /** File convenience wrappers. @throws TraceError /
      *  std::runtime_error on I/O. */
     void save_binary_file(const std::string &path) const;
     static Trace load_binary_file(const std::string &path);
-    static Trace load_binary_file(const std::string &path,
-                                  const TraceReadOptions &opts,
-                                  TraceReadReport *report = nullptr);
 
   private:
     std::string name_;

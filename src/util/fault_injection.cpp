@@ -23,8 +23,6 @@ constexpr KindName kKindNames[] = {
     {FaultKind::LossSpike, "loss_spike"},
     {FaultKind::IoShortWrite, "io_short"},
     {FaultKind::IoFailRename, "io_fail"},
-    {FaultKind::TraceCorrupt, "trace_corrupt"},
-    {FaultKind::TraceTruncate, "trace_truncate"},
     {FaultKind::ServeStall, "serve_stall"},
     {FaultKind::ServePoison, "serve_poison"},
     {FaultKind::ServeFlood, "serve_flood"},
@@ -104,8 +102,8 @@ FaultPlan::parse(const std::string &spec)
                 "fault plan: site '" + entry + "' has no event index");
         const auto [key, value] = split_kv(trim(opts[0]));
         if (key != "step" && key != "epoch" && key != "write" &&
-            key != "byte" && key != "record" && key != "batch" &&
-            key != "submit" && key != "response" && key != "at")
+            key != "batch" && key != "submit" && key != "response" &&
+            key != "at")
             throw std::invalid_argument(
                 "fault plan: unknown event key '" + key + "'");
         site.at = parse_u64(value, "event index");
@@ -186,7 +184,6 @@ export_fault_stats(StatRegistry &reg)
     reg.counter("fault.injected_weight") = s.injected_weight;
     reg.counter("fault.injected_loss_spike") = s.injected_loss_spike;
     reg.counter("fault.injected_io") = s.injected_io;
-    reg.counter("fault.injected_trace") = s.injected_trace;
     reg.counter("fault.serve.stalls") = s.serve_stalls;
     reg.counter("fault.serve.poisoned") = s.serve_poisoned;
     reg.counter("fault.serve.floods") = s.serve_floods;
@@ -290,37 +287,6 @@ FaultInjector::on_atomic_write()
                                             : IoFaultAction::FailRename;
     }
     return IoFaultAction::None;
-}
-
-bool
-FaultInjector::corrupt_bytes(std::string &bytes)
-{
-    if (!enabled() || bytes.empty())
-        return false;
-    bool any = false;
-    for (std::size_t i = 0; i < plan_.sites.size(); ++i) {
-        const FaultSite &s = plan_.sites[i];
-        if (s.kind == FaultKind::TraceCorrupt) {
-            if (!site_fires(i, s.at))
-                continue;
-            // Flip a mid-byte bit at the (wrapped) target offset; the
-            // plan seed varies which bit, keeping runs deterministic.
-            const std::size_t pos = s.at % bytes.size();
-            bytes[pos] = static_cast<char>(
-                static_cast<unsigned char>(bytes[pos]) ^
-                (0x10u << (plan_.seed % 4)));
-            ++fault_stats().injected_trace;
-            any = true;
-        } else if (s.kind == FaultKind::TraceTruncate) {
-            if (!site_fires(i, s.at))
-                continue;
-            if (s.at < bytes.size())
-                bytes.resize(s.at);
-            ++fault_stats().injected_trace;
-            any = true;
-        }
-    }
-    return any;
 }
 
 ServeBatchFaults

@@ -4,11 +4,11 @@
  * FaultPlan names *sites* — (kind, event index) pairs — at which the
  * process-wide FaultInjector perturbs the system: poisoning a
  * gradient or weight with NaN/Inf at a chosen optimizer step, spiking
- * an epoch loss, failing or short-writing an atomic file replacement,
- * corrupting/truncating a serialized trace at a chosen byte — or, on
- * the serving path (DESIGN.md §5.19), stalling the predictor for a
- * span of virtual ticks, poisoning a batch's logits, flooding the
- * queue with a request burst, or misrouting a response's tenant id.
+ * an epoch loss, failing or short-writing an atomic file replacement
+ * — or, on the serving path (DESIGN.md §5.19), stalling the predictor
+ * for a span of virtual ticks, poisoning a batch's logits, flooding
+ * the queue with a request burst, or misrouting a response's tenant
+ * id.
  *
  * Every hook is driven by monotonically advancing event counters (or
  * the epoch number), so the same plan against the same seed produces
@@ -36,8 +36,6 @@ enum class FaultKind : std::uint8_t
     LossSpike = 3,     ///< multiply an epoch loss by `magnitude`
     IoShortWrite = 4,  ///< atomic write persists only a prefix, fails
     IoFailRename = 5,  ///< atomic write fails at the rename step
-    TraceCorrupt = 6,  ///< flip a bit at byte `at` of a trace blob
-    TraceTruncate = 7, ///< truncate a trace blob to `at` bytes
     ServeStall = 8,    ///< stall the serve predictor for `x` ticks
     ServePoison = 9,   ///< poison one serve batch's predictions
     ServeFlood = 10,   ///< burst `x` extra requests at a submit pick
@@ -50,9 +48,9 @@ struct FaultSite
     FaultKind kind = FaultKind::NanGrad;
     /** Event index the site triggers at: optimizer step (grad/weight
      *  kinds), epoch number (LossSpike), atomic-write ordinal (Io*),
-     *  byte offset (Trace*), dispatched-batch ordinal (ServeStall /
-     *  ServePoison), submit-pick ordinal (ServeFlood), or response
-     *  ordinal (ServeMisroute). */
+     *  dispatched-batch ordinal (ServeStall / ServePoison),
+     *  submit-pick ordinal (ServeFlood), or response ordinal
+     *  (ServeMisroute). */
     std::uint64_t at = 0;
     /** 0 = fire once, ever; N = fire at `at`, `at+N`, `at+2N`, ...
      *  (for LossSpike the epoch is the event, so every=N also re-fires
@@ -78,10 +76,10 @@ struct FaultPlan
      * Parse a plan spec:
      *   site(;site)*  with  site = kind '@' key '=' N (':' opt)*
      * kind: nan_grad | inf_grad | nan_weight | loss_spike |
-     *       io_short | io_fail | trace_corrupt | trace_truncate |
-     *       serve_stall | serve_poison | serve_flood | serve_misroute
-     * key:  any of step|epoch|write|byte|record|batch|submit|
-     *       response|at (flavour text; the value is what matters)
+     *       io_short | io_fail | serve_stall | serve_poison |
+     *       serve_flood | serve_misroute
+     * key:  any of step|epoch|write|batch|submit|response|at
+     *       (flavour text; the value is what matters)
      * opt:  every=N | x=V (magnitude)
      * A bare `seed=N` segment sets the plan seed.
      * Example: "nan_grad@step=7;loss_spike@epoch=2:x=50;io_short@write=0"
@@ -106,7 +104,6 @@ struct FaultStats
     std::uint64_t injected_weight = 0;    ///< weight poisonings
     std::uint64_t injected_loss_spike = 0;
     std::uint64_t injected_io = 0;        ///< failed atomic writes
-    std::uint64_t injected_trace = 0;     ///< corrupted/truncated blobs
     std::uint64_t serve_stalls = 0;       ///< predictor stall windows
     std::uint64_t serve_poisoned = 0;     ///< poisoned serve batches
     std::uint64_t serve_floods = 0;       ///< injected request bursts
@@ -180,12 +177,6 @@ class FaultInjector
 
     /** Atomic-write hook (one call per write_file_atomic, counted). */
     IoFaultAction on_atomic_write();
-
-    /**
-     * Apply TraceCorrupt/TraceTruncate sites to a serialized blob in
-     * place. @return true when any site fired.
-     */
-    bool corrupt_bytes(std::string &bytes);
 
     /**
      * Serve-batch hook (one call per dispatched batch with live rows,

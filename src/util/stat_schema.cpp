@@ -55,7 +55,7 @@ constexpr StatDecl kHealth[] = {
 // export_fault_stats (§§5.14, 5.19).
 constexpr StatDecl kFault[] = {
     {"{plan_sites|injected_grad|injected_weight|injected_loss_spike|"
-     "injected_io|injected_trace}",
+     "injected_io}",
      Counter},
     {"serve.{stalls|poisoned|floods|misroutes}", Counter},
 };

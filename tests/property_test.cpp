@@ -2,7 +2,7 @@
  * @file
  * Property-based tests: invariants that must hold across randomized
  * inputs and parameter sweeps — vocabulary round-trips, metric
- * monotonicity, cache-policy behaviour classes, DRAM latency bounds,
+ * monotonicity, LRU cache invariants, DRAM latency bounds,
  * and prefetcher output sanity on arbitrary streams.
  */
 #include <gtest/gtest.h>
@@ -159,32 +159,25 @@ TEST_P(MetricProperty, CoveredFlagsSubsetOfOccurrences)
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty,
                          ::testing::Values(11, 22, 33));
 
-class PolicyProperty
-    : public ::testing::TestWithParam<sim::ReplacementPolicy>
-{
-};
-
-TEST_P(PolicyProperty, HitRateWithinWorkingSetIsPerfect)
+TEST(CacheProperty, HitRateWithinWorkingSetIsPerfect)
 {
     sim::CacheConfig cfg;
     cfg.assoc = 8;
     cfg.size_bytes = kLineSize * 8 * 16;  // 128 lines
-    cfg.policy = GetParam();
     sim::Cache c(cfg);
     for (Addr l = 0; l < 64; ++l)
         c.fill(l, false);
-    // 64-line working set fits in every policy.
+    // The 64-line working set fits.
     for (int round = 0; round < 4; ++round)
         for (Addr l = 0; l < 64; ++l)
             ASSERT_TRUE(c.access(l));
 }
 
-TEST_P(PolicyProperty, EvictionAlwaysReturnsResidentLine)
+TEST(CacheProperty, EvictionAlwaysReturnsResidentLine)
 {
     sim::CacheConfig cfg;
     cfg.assoc = 4;
     cfg.size_bytes = kLineSize * 4 * 4;
-    cfg.policy = GetParam();
     sim::Cache c(cfg);
     Rng rng(5);
     std::set<Addr> filled;
@@ -200,12 +193,6 @@ TEST_P(PolicyProperty, EvictionAlwaysReturnsResidentLine)
         }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, PolicyProperty,
-    ::testing::Values(sim::ReplacementPolicy::Lru,
-                      sim::ReplacementPolicy::Srrip,
-                      sim::ReplacementPolicy::Random));
 
 class DramProperty : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -276,25 +277,6 @@ TEST_F(SelfHealingTest, RecoversFromGradAndLossFaults)
     EXPECT_NEAR(faulted_unified, clean_unified, 0.02);
 }
 
-TEST_F(SelfHealingTest, WatchdogDisabledRestoresOldTrainer)
-{
-    const auto stream = cyclic_stream(400, 20, 7);
-    auto tc = tiny_train_config();
-    tc.health.enabled = false;
-
-    fault_injector().install(
-        FaultPlan::parse("loss_spike@epoch=1:x=1000"));
-    core::VoyagerAdapter model(tiny_voyager_config(), stream);
-    const auto res = core::train_online(model, stream.size(), tc);
-
-    // No watchdog: the spiked loss is recorded as-is, nothing rolls
-    // back and nothing degrades.
-    EXPECT_FALSE(res.degraded);
-    EXPECT_EQ(res.rollbacks, 0u);
-    ASSERT_EQ(res.epoch_losses.size(), tc.epochs);
-    EXPECT_GT(res.epoch_losses[1], 100.0);
-}
-
 // ---------------------------------------------------------------------
 // Recovery exhaustion (acceptance: degraded coverage equals the
 // standalone ISB+BO hybrid bit-for-bit)
@@ -387,19 +369,64 @@ TEST_F(SelfHealingTest, SamePlanSameSeedIsByteIdentical)
     EXPECT_NE(doc1.find("\"fault.injected_grad\""), std::string::npos);
 }
 
+/**
+ * The online protocol without a watchdog, written out: epochs of
+ * floor(n/E) samples with the remainder spread over the first ones,
+ * predict on each epoch after the first, then train cumulatively on
+ * a seeded, sorted subsample of everything seen so far.
+ */
+core::OnlineResult
+plain_epoch_loop(core::SequenceModel &model, std::size_t n,
+                 const core::OnlineTrainConfig &tc)
+{
+    core::OnlineResult res;
+    res.predictions.assign(n, {});
+    const std::size_t base = n / tc.epochs;
+    const std::size_t extra = n % tc.epochs;
+    const auto begin = [&](std::size_t e) {
+        return e * base + std::min(e, extra);
+    };
+    Rng rng(tc.seed);
+    for (std::size_t e = 0; e < tc.epochs; ++e) {
+        if (e > 0) {
+            std::vector<std::size_t> idx;
+            for (std::size_t i = begin(e); i < begin(e + 1); ++i)
+                idx.push_back(i);
+            auto preds = model.predict_on(idx, tc.degree);
+            for (std::size_t k = 0; k < idx.size(); ++k)
+                res.predictions[idx[k]] = std::move(preds[k]);
+        }
+        std::vector<std::size_t> train_idx;
+        for (std::size_t i = 0; i < begin(e + 1); ++i)
+            train_idx.push_back(i);
+        if (train_idx.size() > tc.max_train_samples_per_epoch) {
+            rng.shuffle(train_idx);
+            train_idx.resize(tc.max_train_samples_per_epoch);
+            std::sort(train_idx.begin(), train_idx.end());
+        }
+        double loss = 0.0;
+        for (std::size_t pass = 0; pass < tc.train_passes; ++pass)
+            loss = model.train_on(train_idx);
+        res.epoch_losses.push_back(loss);
+        model.on_epoch_end();
+    }
+    return res;
+}
+
 TEST_F(SelfHealingTest, CleanRunMatchesPreWatchdogBehavior)
 {
     // With no plan installed the watchdog must be an observer only:
-    // enabled and disabled runs are bit-identical.
+    // train_online is bit-identical to the plain epoch loop.
     const auto stream = cyclic_stream(400, 20, 11);
-    auto tc = tiny_train_config();
+    const auto tc = tiny_train_config();
+    ASSERT_TRUE(tc.cumulative);
+    ASSERT_GT(tc.max_train_samples_per_epoch, 0u);
 
-    core::VoyagerAdapter on(tiny_voyager_config(), stream);
-    const auto with = core::train_online(on, stream.size(), tc);
+    core::VoyagerAdapter watched(tiny_voyager_config(), stream);
+    const auto with = core::train_online(watched, stream.size(), tc);
 
-    tc.health.enabled = false;
-    core::VoyagerAdapter off(tiny_voyager_config(), stream);
-    const auto without = core::train_online(off, stream.size(), tc);
+    core::VoyagerAdapter plain(tiny_voyager_config(), stream);
+    const auto without = plain_epoch_loop(plain, stream.size(), tc);
 
     EXPECT_EQ(with.epoch_losses, without.epoch_losses);
     EXPECT_EQ(with.predictions, without.predictions);

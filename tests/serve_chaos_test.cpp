@@ -143,8 +143,7 @@ TEST(ServeHealthMonitorTest, RecoveryIsHysteretic)
 TEST(ServeHealthMonitorTest, DisabledMonitorAlwaysHolds)
 {
     DegradeConfig cfg;
-    cfg.enabled = false;
-    cfg.window = 1;
+    cfg.window = 0;  // the monitor's off switch
     ServeHealthMonitor m(cfg);
     m.on_fault();
     for (int i = 0; i < 4; ++i)

@@ -290,6 +290,13 @@ TEST(PrefetchServerTest, HeuristicRungRejectsUnknownKindAtConstruction)
         EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
             << e.what();
     }
+    try {
+        serve::HeuristicEngine zero("stream_group", 0);
+        FAIL() << "HeuristicEngine accepted degree 0";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("degree"), std::string::npos)
+            << e.what();
+    }
     EXPECT_NO_THROW(serve::HeuristicEngine("isb+bo"));
 }
 

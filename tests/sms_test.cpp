@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the SMS spatial prefetcher and the pluggable replacement
- * policies (SRRIP, Random).
+ * Tests for the SMS spatial prefetcher.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "prefetch/registry.hpp"
 #include "prefetch/sms.hpp"
-#include "sim/cache.hpp"
 
 namespace voyager {
 namespace {
@@ -84,67 +84,6 @@ TEST(Sms, InRegistry)
     const auto &names = prefetch::rule_based_names();
     EXPECT_NE(std::find(names.begin(), names.end(), "sms"),
               names.end());
-}
-
-sim::CacheConfig
-tiny_cache(sim::ReplacementPolicy policy)
-{
-    sim::CacheConfig c;
-    c.assoc = 4;
-    c.size_bytes = kLineSize * 4;  // one set
-    c.policy = policy;
-    return c;
-}
-
-TEST(Replacement, SrripKeepsReusedBlocks)
-{
-    sim::Cache c(tiny_cache(sim::ReplacementPolicy::Srrip));
-    // Fill the set; hit block 0 repeatedly (rrpv -> 0).
-    for (Addr l = 0; l < 4; ++l)
-        c.fill(l, false);
-    c.access(0);
-    c.access(0);
-    // Insert a new block: the victim must not be the hot line 0.
-    const Addr evicted = c.fill(100, false);
-    EXPECT_NE(evicted, 0u);
-    EXPECT_TRUE(c.contains(0));
-}
-
-TEST(Replacement, SrripAgesUntilVictimExists)
-{
-    sim::Cache c(tiny_cache(sim::ReplacementPolicy::Srrip));
-    for (Addr l = 0; l < 4; ++l) {
-        c.fill(l, false);
-        c.access(l);  // all rrpv 0: aging loop must still terminate
-    }
-    EXPECT_NE(c.fill(50, false), sim::Cache::kNoEviction);
-}
-
-TEST(Replacement, RandomEvictsSomething)
-{
-    sim::Cache c(tiny_cache(sim::ReplacementPolicy::Random));
-    for (Addr l = 0; l < 4; ++l)
-        c.fill(l, false);
-    std::set<Addr> victims;
-    for (Addr l = 10; l < 30; ++l) {
-        const Addr v = c.fill(l, false);
-        ASSERT_NE(v, sim::Cache::kNoEviction);
-        victims.insert(v);
-    }
-    // Random policy should not always evict the same way.
-    EXPECT_GT(victims.size(), 3u);
-}
-
-TEST(Replacement, PoliciesPreserveHitSemantics)
-{
-    for (const auto policy :
-         {sim::ReplacementPolicy::Lru, sim::ReplacementPolicy::Srrip,
-          sim::ReplacementPolicy::Random}) {
-        sim::Cache c(tiny_cache(policy));
-        c.fill(42, false);
-        EXPECT_TRUE(c.access(42));
-        EXPECT_FALSE(c.access(43));
-    }
 }
 
 }  // namespace

@@ -120,8 +120,7 @@ TEST(Trace, TextRoundTrip)
 // ---------------------------------------------------------------------
 // Malformed inputs, one class at a time: every error must be a
 // TraceError carrying the file, the record index / line number and the
-// offending bytes, and the Resync policy must skip exactly the bad
-// records.
+// offending bytes.
 // ---------------------------------------------------------------------
 
 /** A small serialized trace as a mutable byte string. */
@@ -140,10 +139,8 @@ Trace
 load_bytes(const std::string &bytes,
            const std::string &file = "input.trc")
 {
-    TraceReadOptions opts;
-    opts.file = file;
     std::istringstream is(bytes);
-    return Trace::load_binary(is, opts);
+    return Trace::load_binary(is, file);
 }
 
 /** Byte offset of record i's first byte: the header is magic +
@@ -247,35 +244,6 @@ TEST(TraceErrors, NonMonotonicIdReportsItsRecord)
     }
 }
 
-TEST(TraceErrors, ResyncSkipsBadRecordsAndReports)
-{
-    std::string bytes = serialized();
-    bytes[record_offset(2) + 24] = '\x07';  // one bad kind byte
-    TraceReadOptions opts;
-    opts.on_error = TraceReadOptions::OnError::Resync;
-    TraceReadReport rep;
-    std::istringstream is(bytes);
-    const Trace t = Trace::load_binary(is, opts, &rep);
-    EXPECT_EQ(rep.records, 5u);
-    EXPECT_EQ(rep.skipped, 1u);
-    EXPECT_FALSE(rep.truncated);
-    ASSERT_EQ(t.size(), 5u);
-    EXPECT_EQ(t[2].instr_id, 9u);  // record 3 took record 2's slot
-}
-
-TEST(TraceErrors, ResyncStopsAtTruncation)
-{
-    const std::string bytes = serialized();
-    TraceReadOptions opts;
-    opts.on_error = TraceReadOptions::OnError::Resync;
-    TraceReadReport rep;
-    std::istringstream is(bytes.substr(0, record_offset(4) + 7));
-    const Trace t = Trace::load_binary(is, opts, &rep);
-    EXPECT_EQ(t.size(), 4u);
-    EXPECT_EQ(rep.records, 4u);
-    EXPECT_TRUE(rep.truncated);
-}
-
 TEST(TraceErrors, TextMalformedClassesReportLineAndBody)
 {
     struct Case
@@ -291,10 +259,8 @@ TEST(TraceErrors, TextMalformedClassesReportLineAndBody)
     };
     for (const auto &c : cases) {
         std::istringstream is(std::string("5 6 7 L\n") + c.body + "\n");
-        TraceReadOptions opts;
-        opts.file = "t.txt";
         try {
-            Trace::load_text(is, opts);
+            Trace::load_text(is, "t.txt");
             FAIL() << "accepted: " << c.body;
         } catch (const TraceError &e) {
             EXPECT_EQ(e.record(), 2u) << c.body;  // 1-based line
@@ -307,26 +273,7 @@ TEST(TraceErrors, TextMalformedClassesReportLineAndBody)
     }
     // Non-monotonic ids are caught in text form too.
     std::istringstream is("9 1 1 L\n3 1 1 L\n");
-    EXPECT_THROW(Trace::load_text(is, TraceReadOptions{}), TraceError);
-}
-
-TEST(TraceErrors, TextResyncSkipsOnlyBadLines)
-{
-    std::istringstream is(
-        "# header comment\n"
-        "0 1 100 L\n"
-        "garbage line\n"
-        "4 1 200 S\n"
-        "\n"
-        "2 1 300 L\n");  // non-monotonic: skipped
-    TraceReadOptions opts;
-    opts.on_error = TraceReadOptions::OnError::Resync;
-    TraceReadReport rep;
-    const Trace t = Trace::load_text(is, opts, &rep);
-    EXPECT_EQ(rep.records, 2u);
-    EXPECT_EQ(rep.skipped, 2u);
-    ASSERT_EQ(t.size(), 2u);
-    EXPECT_EQ(t[1].instr_id, 4u);
+    EXPECT_THROW(Trace::load_text(is), TraceError);
 }
 
 TEST(Recorder, AdvancesInstructionIds)

@@ -1,8 +1,8 @@
 #!/bin/sh
-# CI gate: build + run the tier-1 suite under the release preset
-# (warnings as errors), then again under the asan-ubsan preset (Debug +
-# ASan + UBSan); run the nn/int8/golden/serve/core suites in a portable
-# (non -march=native) build; and validate bench binaries'
+# CI gate: build + run every ctest under the release preset (warnings
+# as errors), then the labelled suites under the asan-ubsan preset
+# (Debug + ASan + UBSan); run the nn/int8/golden/serve/core suites in a
+# portable (non -march=native) build; and validate bench binaries'
 # --stats_json documents against the schema checker. Run from the
 # repository root. Fails on first error.
 set -eu
@@ -13,51 +13,17 @@ echo "== release: configure + build =="
 cmake --preset release
 cmake --build --preset release -j1
 
-echo "== release: ctest -L tier1 =="
-ctest --preset tier1 --output-on-failure
-
-echo "== release: ctest -L checkpoint =="
-ctest --preset checkpoint --output-on-failure
-
-echo "== release: ctest -L fault =="
-ctest --preset fault --output-on-failure
-
-echo "== release: ctest -L serve =="
-ctest --preset serve --output-on-failure
-
-echo "== release: ctest -L transformer =="
-ctest --preset transformer --output-on-failure
-
-echo "== release: ctest -L distill =="
-ctest --preset distill --output-on-failure
-
-echo "== release: ctest -L chaos =="
-ctest --preset chaos --output-on-failure
+echo "== release: ctest (every test) =="
+ctest --test-dir build --output-on-failure
 
 echo "== asan-ubsan: configure + build =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j1
 
-echo "== asan-ubsan: ctest -L tier1 =="
-ctest --preset asan-tier1 --output-on-failure
-
-echo "== asan-ubsan: ctest -L checkpoint =="
-ctest --preset asan-checkpoint --output-on-failure
-
-echo "== asan-ubsan: ctest -L fault =="
-ctest --preset asan-fault --output-on-failure
-
-echo "== asan-ubsan: ctest -L serve =="
-ctest --preset asan-serve --output-on-failure
-
-echo "== asan-ubsan: ctest -L transformer =="
-ctest --preset asan-transformer --output-on-failure
-
-echo "== asan-ubsan: ctest -L distill =="
-ctest --preset asan-distill --output-on-failure
-
-echo "== asan-ubsan: ctest -L chaos =="
-ctest --preset asan-chaos --output-on-failure
+echo "== asan-ubsan: ctest -L tier1|checkpoint|fault|serve|transformer|distill|chaos =="
+ctest --test-dir build-asan \
+    -L 'tier1|checkpoint|fault|serve|transformer|distill|chaos' \
+    --output-on-failure
 
 echo "== stats schema validation =="
 out=$(mktemp /tmp/voyager_stats.XXXXXX.json)
