@@ -7,7 +7,7 @@
 
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/cache.hpp"
