@@ -3,13 +3,15 @@
  * Micro-benchmarks of the rule-based prefetchers and the simulator
  * datapath (google-benchmark): per-access training+prediction cost of
  * STMS/ISB/Domino/BO, raw cache/DRAM/hierarchy access throughput, and
- * whole simulations at perfbench's sim_rules shape.
+ * whole simulations at perfbench's sim_rules shape, and the
+ * labeler on perfbench's training stream.
  */
 #include <benchmark/benchmark.h>
 
 #include <fstream>
 #include <string>
 
+#include "core/labeler.hpp"
 #include "prefetch/registry.hpp"
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
@@ -198,6 +200,39 @@ BENCHMARK_CAPTURE(BM_Simulate, domino, "domino")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Simulate, bo, "bo")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Simulate, isb_bo, "isb+bo")
+    ->Unit(benchmark::kMillisecond);
+
+/** The repository benchmark's training stream: the first 20000 LLC
+ *  accesses of a Small-scale trace (seed 1) on the small hierarchy. */
+std::vector<sim::LlcAccess>
+small_llc_stream(const char *benchmark)
+{
+    const trace::Trace t =
+        trace::gen::make_workload(benchmark, trace::gen::Scale::Small, 1);
+    auto stream = sim::extract_llc_stream(t, sim::small_sim_config());
+    if (stream.size() > 20000)
+        stream.resize(20000);
+    return stream;
+}
+
+/** All five label schemes over the whole stream, as every Voyager
+ *  training computes them once before its first step. */
+void
+BM_ComputeLabels(benchmark::State &state, const char *benchmark)
+{
+    const auto stream = small_llc_stream(benchmark);
+    for (auto _ : state) {
+        const auto labels = core::compute_labels(stream);
+        benchmark::DoNotOptimize(labels.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK_CAPTURE(BM_ComputeLabels, xalancbmk, "xalancbmk")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ComputeLabels, bfs, "bfs")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ComputeLabels, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /**

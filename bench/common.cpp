@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -33,6 +35,36 @@ read_pod(std::istream &is, T &v)
     is.read(reinterpret_cast<char *>(&v), sizeof(v));
     return static_cast<bool>(is);
 }
+
+/**
+ * An exception no bench main catches (a rejected flag value, an
+ * unknown benchmark name, an unwritable output path) ends the process
+ * with an `Error: <what>` line and exit 1, voyager_cli's status for
+ * the same errors, instead of std::terminate's abort. Any other
+ * terminate cause still aborts.
+ */
+[[noreturn]] void
+exit_on_uncaught_exception()
+{
+    if (const auto e = std::current_exception()) {
+        try {
+            std::rethrow_exception(e);
+        } catch (const std::exception &ex) {
+            std::cerr << "Error: " << ex.what() << "\n";
+        } catch (...) {
+            std::cerr << "Error: unknown exception\n";
+        }
+        std::cout.flush();
+        std::_Exit(1);
+    }
+    std::abort();
+}
+
+// Installed at static initialisation, so it also covers throws from
+// BenchContext's constructor; every binary that builds a BenchContext
+// links this file.
+[[maybe_unused]] const bool kExitOnUncaughtInstalled =
+    (std::set_terminate(exit_on_uncaught_exception), true);
 
 }  // namespace
 

@@ -1,9 +1,9 @@
 #include "core/labeler.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/decode.hpp"
+#include "util/flat_hash.hpp"
 
 namespace voyager::core {
 
@@ -53,8 +53,8 @@ compute_labels(const std::vector<LlcAccess> &stream,
             return horizon == 0 || at - from <= horizon;
         };
         std::optional<std::size_t> next_global;
-        std::unordered_map<Addr, std::size_t> next_by_pc;
-        std::unordered_map<Addr, std::size_t> next_by_bb;
+        FlatHashMap<Addr, std::size_t> next_by_pc;
+        FlatHashMap<Addr, std::size_t> next_by_bb;
         for (std::size_t i = n; i-- > 0;) {
             const auto &a = stream[i];
             const Addr bb = a.pc >> cfg.basic_block_shift;
@@ -102,42 +102,76 @@ compute_labels(const std::vector<LlcAccess> &stream,
     // example), attached at an occurrence only when it actually
     // materializes in that window, so the label is also a valid
     // prefetch target there.
+    //
+    // Each distinct line gets a dense id; the occurrences of one id
+    // are visited together and their followers counted in one count
+    // array reused (and reset) across ids. The best follower is the
+    // highest count, ties to the smaller line address: a total order,
+    // so the visiting order cannot change a label (DESIGN.md
+    // decision 15).
     {
-        std::unordered_map<Addr, std::unordered_map<Addr, std::uint32_t>>
-            follower_counts;
+        constexpr std::uint32_t kNone = ~std::uint32_t{0};
+        FlatHashMap<Addr, std::uint32_t> id_of;
+        std::vector<Addr> line_of;
+        std::vector<std::uint32_t> id(n);
         for (std::size_t i = 0; i < n; ++i) {
-            const Addr a = stream[i].line;
-            const std::size_t end =
-                std::min(n, i + 1 + cfg.cooccurrence_window);
-            auto &counts = follower_counts[a];
-            for (std::size_t j = i + 1; j < end; ++j) {
-                if (stream[j].is_load && stream[j].line != a)
-                    ++counts[stream[j].line];
-            }
+            const auto [it, fresh] = id_of.emplace(
+                stream[i].line, static_cast<std::uint32_t>(line_of.size()));
+            if (fresh)
+                line_of.push_back(stream[i].line);
+            id[i] = it->second;
         }
-        std::unordered_map<Addr, Addr> best;
-        for (const auto &[line, counts] : follower_counts) {
-            Addr arg = 0;
-            std::uint32_t mx = 0;
-            for (const auto &[cand, cnt] : counts) {
-                if (cnt > mx || (cnt == mx && cand < arg)) {
-                    mx = cnt;
-                    arg = cand;
+        const std::size_t ids = line_of.size();
+
+        // Occurrence indices grouped by id, ascending within a group.
+        std::vector<std::uint32_t> first(ids + 1, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            ++first[id[i] + 1];
+        for (std::size_t k = 0; k < ids; ++k)
+            first[k + 1] += first[k];
+        std::vector<std::uint32_t> occ(n);
+        {
+            std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+            for (std::size_t i = 0; i < n; ++i)
+                occ[fill[id[i]]++] = static_cast<std::uint32_t>(i);
+        }
+
+        std::vector<std::uint32_t> best(ids, kNone);
+        std::vector<std::uint32_t> count(ids, 0);
+        std::vector<std::uint32_t> seen;
+        for (std::uint32_t k = 0; k < ids; ++k) {
+            for (std::uint32_t o = first[k]; o < first[k + 1]; ++o) {
+                const std::size_t i = occ[o];
+                const std::size_t end =
+                    std::min(n, i + 1 + cfg.cooccurrence_window);
+                for (std::size_t j = i + 1; j < end; ++j) {
+                    if (stream[j].is_load && id[j] != k &&
+                        count[id[j]]++ == 0)
+                        seen.push_back(id[j]);
                 }
             }
-            if (mx > 0)
-                best.emplace(line, arg);
+            std::uint32_t mx = 0;
+            for (const std::uint32_t c : seen) {
+                if (count[c] > mx ||
+                    (count[c] == mx && line_of[c] < line_of[best[k]])) {
+                    mx = count[c];
+                    best[k] = c;
+                }
+                count[c] = 0;
+            }
+            seen.clear();
         }
+
         for (std::size_t i = 0; i < n; ++i) {
-            auto it = best.find(stream[i].line);
-            if (it == best.end())
+            const std::uint32_t b = best[id[i]];
+            if (b == kNone)
                 continue;
             const std::size_t end =
                 std::min(n, i + 1 + cfg.cooccurrence_window);
             for (std::size_t j = i + 1; j < end; ++j) {
-                if (stream[j].is_load && stream[j].line == it->second) {
+                if (stream[j].is_load && id[j] == b) {
                     labels[i][static_cast<std::size_t>(
-                        LabelScheme::CoOccurrence)] = it->second;
+                        LabelScheme::CoOccurrence)] = line_of[b];
                     break;
                 }
             }

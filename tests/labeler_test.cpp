@@ -1,10 +1,18 @@
 /**
  * @file
- * Tests for the five labeling schemes on hand-built streams.
+ * Tests for the five labeling schemes on hand-built streams, and a
+ * differential test of `compute_labels` against a nested-map oracle
+ * on generated workload streams.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <unordered_map>
+
 #include "core/labeler.hpp"
+#include "sim/simulator.hpp"
+#include "trace/gen/workloads.hpp"
 
 namespace voyager::core {
 namespace {
@@ -113,6 +121,17 @@ TEST(Labeler, CoOccurrenceWindowBounds)
     EXPECT_EQ(lab(labels[0], LabelScheme::CoOccurrence), 20u);
 }
 
+TEST(Labeler, CoOccurrenceTieTakesSmallerLine)
+{
+    // After each 10, lines 50 and 30 follow equally often; 50 is seen
+    // first, but equal counts go to the smaller line address.
+    const std::vector<LlcAccess> s = {acc(1, 10), acc(2, 50), acc(3, 30),
+                                      acc(1, 10), acc(2, 50), acc(3, 30)};
+    const auto labels = compute_labels(s);
+    EXPECT_EQ(lab(labels[0], LabelScheme::CoOccurrence), 30u);
+    EXPECT_EQ(lab(labels[3], LabelScheme::CoOccurrence), 30u);
+}
+
 TEST(Labeler, SoplexStylePatternCoOccurrence)
 {
     // Fig. 16: vec[leave] follows upd[leave] regardless of which PC
@@ -161,6 +180,189 @@ TEST(Labeler, StoresAreNeverLabels)
 TEST(Labeler, EmptyStream)
 {
     EXPECT_TRUE(compute_labels({}).empty());
+}
+
+/** The nested-map labeler the flat one replaced, kept as the oracle:
+ *  one hash map of follower counts per distinct line. */
+std::vector<LabelSet>
+reference_labels(const std::vector<LlcAccess> &stream,
+                 const LabelerConfig &cfg)
+{
+    const std::size_t n = stream.size();
+    std::vector<LabelSet> labels(n);
+    {
+        const std::size_t horizon = cfg.label_horizon;
+        auto within = [&](std::size_t from, std::size_t at) {
+            return horizon == 0 || at - from <= horizon;
+        };
+        std::optional<std::size_t> next_global;
+        std::unordered_map<Addr, std::size_t> next_by_pc;
+        std::unordered_map<Addr, std::size_t> next_by_bb;
+        for (std::size_t i = n; i-- > 0;) {
+            const auto &a = stream[i];
+            const Addr bb = a.pc >> cfg.basic_block_shift;
+            if (next_global && within(i, *next_global)) {
+                labels[i][static_cast<std::size_t>(
+                    LabelScheme::Global)] = stream[*next_global].line;
+            }
+            if (auto it = next_by_pc.find(a.pc);
+                it != next_by_pc.end() && within(i, it->second)) {
+                labels[i][static_cast<std::size_t>(LabelScheme::Pc)] =
+                    stream[it->second].line;
+            }
+            if (auto it = next_by_bb.find(bb);
+                it != next_by_bb.end() && within(i, it->second)) {
+                labels[i][static_cast<std::size_t>(
+                    LabelScheme::BasicBlock)] = stream[it->second].line;
+            }
+            if (a.is_load) {
+                next_global = i;
+                next_by_pc[a.pc] = i;
+                next_by_bb[bb] = i;
+            }
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto line = static_cast<std::int64_t>(stream[i].line);
+        const std::size_t end = std::min(n, i + 1 + cfg.spatial_horizon);
+        for (std::size_t j = i + 1; j < end; ++j) {
+            if (!stream[j].is_load)
+                continue;
+            const auto cand = static_cast<std::int64_t>(stream[j].line);
+            if (std::llabs(cand - line) <= cfg.spatial_range) {
+                labels[i][static_cast<std::size_t>(
+                    LabelScheme::Spatial)] = stream[j].line;
+                break;
+            }
+        }
+    }
+    {
+        std::unordered_map<Addr, std::unordered_map<Addr, std::uint32_t>>
+            follower_counts;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Addr a = stream[i].line;
+            const std::size_t end =
+                std::min(n, i + 1 + cfg.cooccurrence_window);
+            auto &counts = follower_counts[a];
+            for (std::size_t j = i + 1; j < end; ++j) {
+                if (stream[j].is_load && stream[j].line != a)
+                    ++counts[stream[j].line];
+            }
+        }
+        std::unordered_map<Addr, Addr> best;
+        for (const auto &[line, counts] : follower_counts) {
+            Addr arg = 0;
+            std::uint32_t mx = 0;
+            for (const auto &[cand, cnt] : counts) {
+                if (cnt > mx || (cnt == mx && cand < arg)) {
+                    mx = cnt;
+                    arg = cand;
+                }
+            }
+            if (mx > 0)
+                best.emplace(line, arg);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            auto it = best.find(stream[i].line);
+            if (it == best.end())
+                continue;
+            const std::size_t end =
+                std::min(n, i + 1 + cfg.cooccurrence_window);
+            for (std::size_t j = i + 1; j < end; ++j) {
+                if (stream[j].is_load && stream[j].line == it->second) {
+                    labels[i][static_cast<std::size_t>(
+                        LabelScheme::CoOccurrence)] = it->second;
+                    break;
+                }
+            }
+        }
+    }
+    return labels;
+}
+
+/** The default config and the four variations the differential test
+ *  sweeps: unbounded horizon, co-occurrence windows 1 and 2, and a
+ *  one-access spatial horizon. */
+std::vector<std::pair<std::string, LabelerConfig>>
+differential_configs()
+{
+    std::vector<std::pair<std::string, LabelerConfig>> out;
+    out.emplace_back("default", LabelerConfig{});
+    LabelerConfig c;
+    c.label_horizon = 0;
+    out.emplace_back("label_horizon=0", c);
+    c = {};
+    c.cooccurrence_window = 1;
+    out.emplace_back("cooccurrence_window=1", c);
+    c.cooccurrence_window = 2;
+    out.emplace_back("cooccurrence_window=2", c);
+    c = {};
+    c.spatial_horizon = 1;
+    out.emplace_back("spatial_horizon=1", c);
+    return out;
+}
+
+/** Every scheme of every access equal to the oracle's, under every
+ *  differential config; reports the first mismatch only. */
+void
+expect_matches_reference(const std::string &what,
+                         const std::vector<LlcAccess> &stream)
+{
+    ASSERT_FALSE(stream.empty()) << what;
+    for (const auto &[name, cfg] : differential_configs()) {
+        const auto got = compute_labels(stream, cfg);
+        const auto want = reference_labels(stream, cfg);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            for (const auto s : all_label_schemes()) {
+                ASSERT_EQ(lab(got[i], s), lab(want[i], s))
+                    << what << " " << name << " access " << i << " "
+                    << label_scheme_name(s);
+            }
+        }
+    }
+}
+
+/** The stream training uses at `scale`: the raw access stream of the
+ *  OLTP workloads, the no-prefetch LLC stream of every other one. */
+std::vector<LlcAccess>
+workload_stream(const std::string &benchmark, trace::gen::Scale scale,
+                const sim::SimConfig &sim_cfg)
+{
+    const auto t = trace::gen::make_workload(benchmark, scale, 1);
+    const auto &oltp = trace::gen::oltp_benchmarks();
+    if (std::find(oltp.begin(), oltp.end(), benchmark) == oltp.end())
+        return sim::extract_llc_stream(t, sim_cfg);
+    std::vector<LlcAccess> out(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        out[i].index = i;
+        out[i].pc = t[i].pc;
+        out[i].line = t[i].line();
+        out[i].is_load = t[i].is_load;
+    }
+    return out;
+}
+
+TEST(LabelerDifferential, EveryTinyWorkloadMatchesNestedMapOracle)
+{
+    for (const auto &b : trace::gen::all_benchmarks()) {
+        expect_matches_reference(
+            b, workload_stream(b, trace::gen::Scale::Tiny,
+                               sim::tiny_sim_config()));
+    }
+}
+
+TEST(LabelerDifferential, SmallPerfbenchStreamsMatchNestedMapOracle)
+{
+    // The repository benchmark's training stream: Small scale, small
+    // hierarchy, the first 20000 LLC accesses.
+    for (const char *b : {"xalancbmk", "bfs", "mcf"}) {
+        auto stream = workload_stream(b, trace::gen::Scale::Small,
+                                      sim::small_sim_config());
+        if (stream.size() > 20000)
+            stream.resize(20000);
+        expect_matches_reference(b, stream);
+    }
 }
 
 }  // namespace

@@ -20,9 +20,9 @@ echo "== asan-ubsan: configure + build =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j1
 
-echo "== asan-ubsan: ctest -L tier1|checkpoint|fault|serve|transformer|distill|chaos =="
+echo "== asan-ubsan: ctest -L tier1|checkpoint|fault|serve|transformer|distill|chaos|core|property =="
 ctest --test-dir build-asan \
-    -L 'tier1|checkpoint|fault|serve|transformer|distill|chaos' \
+    -L 'tier1|checkpoint|fault|serve|transformer|distill|chaos|core|property' \
     --output-on-failure
 
 echo "== stats schema validation =="
@@ -78,6 +78,15 @@ sim_out=$(./build/bench/bench_micro_prefetchers \
     --benchmark_min_time=0.05 2>&1)
 printf '%s\n' "$sim_out" | grep -q "BM_Simulate/domino"
 printf '%s\n' "$sim_out" | grep -q "BM_CacheAccess"
+
+# Labeler smoke (DESIGN.md decision 15): all five label schemes over
+# the repository benchmark's training stream, the setup cost every
+# Voyager training pays once.
+echo "== bench_micro_prefetchers labeler smoke =="
+labels_out=$(./build/bench/bench_micro_prefetchers \
+    --benchmark_filter='BM_ComputeLabels' --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$labels_out" | grep -q "BM_ComputeLabels/xalancbmk"
+printf '%s\n' "$labels_out" | grep -q "BM_ComputeLabels/mcf"
 
 # Portable build (DESIGN.md sections 5.10 and 5.21): without
 # -march=native the 64-byte vector type of the GEMM tile and the gate
