@@ -149,10 +149,11 @@ main(int argc, char **argv)
         // The §5.5 practical prefetcher: distill the compressed fp32
         // model's degree-1 token candidates over the eval slice into
         // the budgeted L1/L2 tables the serving path probes (DESIGN.md
-        // §5.18; core::TabularPrefetcher replays them in the
-        // simulator). distilled_table_bytes is those tables' modeled
-        // footprint under the default 256 KiB budget, next to the
-        // temporal-metadata tables; no golden pins it.
+        // §5.18; bench_distill scores the tables alone as
+        // distill.frontier.*.table_unified). distilled_table_bytes is
+        // those tables' modeled footprint under the default 256 KiB
+        // budget, next to the temporal-metadata tables; no golden
+        // pins it.
         core::TabularConfig tab_cfg;
         tab_cfg.degree = 1;
         const auto table = core::distill_to_table(

@@ -3,9 +3,9 @@
  * Bring-your-own-trace: shows the library's public API for external
  * traces and model persistence.
  *
- *   1. Build a Trace programmatically (or load one with
- *      Trace::load_binary_file / load_text — the format is documented
- *      in src/trace/trace.hpp).
+ *   1. Build a Trace programmatically (or load one saved with
+ *      --trace_out back with Trace::load_binary_file; see
+ *      src/trace/trace.hpp).
  *   2. Train Voyager on its LLC stream.
  *   3. Save the trained weights, reload them into a fresh model, and
  *      verify the reloaded model predicts identically.

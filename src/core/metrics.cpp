@@ -9,15 +9,6 @@
 
 namespace voyager::core {
 
-void
-UnifiedMetric::export_stats(StatRegistry &reg,
-                            const std::string &prefix) const
-{
-    reg.counter(prefix + ".correct") = correct;
-    reg.counter(prefix + ".evaluated") = evaluated;
-    reg.gauge(prefix + ".value") = value();
-}
-
 UnifiedMetric
 unified_accuracy_coverage(const std::vector<LlcAccess> &stream,
                           const std::vector<std::vector<Addr>> &predictions,

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/prefetcher.hpp"
-#include "util/stat_registry.hpp"
 #include "util/types.hpp"
 
 namespace voyager::core {
@@ -33,10 +31,6 @@ struct UnifiedMetric
                                static_cast<double>(evaluated)
                          : 0.0;
     }
-
-    /** Export `.correct`, `.evaluated` and `.value` under `<prefix>.`. */
-    void export_stats(StatRegistry &reg,
-                      const std::string &prefix) const;
 };
 
 /**

@@ -575,11 +575,4 @@ VoyagerModel::parameter_count() const
     return n;
 }
 
-std::uint64_t
-VoyagerModel::embedding_bytes() const
-{
-    return (pc_emb_.param().size() + page_emb_.param().size() +
-            offset_emb_.param().size()) * 4;
-}
-
 }  // namespace voyager::core

@@ -220,8 +220,6 @@ class VoyagerModel
     std::uint64_t parameter_count() const;
     /** fp32 dense model size in bytes. */
     std::uint64_t parameter_bytes() const { return parameter_count() * 4; }
-    /** Bytes in the embedding layers alone (the §4.2 bottleneck). */
-    std::uint64_t embedding_bytes() const;
 
     nn::Embedding &pc_embedding() { return pc_emb_; }
     nn::Embedding &page_embedding() { return page_emb_; }

@@ -1,15 +1,12 @@
 /**
  * @file
  * TabularTable implementation: layered context tables compiled from
- * teacher predictions (DESIGN.md §5.18), and their TabularPrefetcher.
+ * teacher predictions (DESIGN.md §5.18).
  */
 #include "core/tabular.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-
-#include "core/decode.hpp"
 
 namespace voyager::core {
 
@@ -265,41 +262,6 @@ distill_to_table(const EncodedStream &encoded,
                       teacher[j]);
     }
     return table;
-}
-
-TabularPrefetcher::TabularPrefetcher(const TabularTable &table,
-                                     const Vocabulary &vocab,
-                                     std::size_t seq_len,
-                                     std::uint32_t degree)
-    : table_(table), vocab_(vocab), seq_len_(seq_len), degree_(degree)
-{
-    if (seq_len_ == 0)
-        throw std::invalid_argument("TabularPrefetcher: seq_len is 0");
-}
-
-std::vector<Addr>
-TabularPrefetcher::on_access(const sim::LlcAccess &access)
-{
-    const Token t = vocab_.encode(access.pc, access.line, prev_line_);
-    prev_line_ = access.line;
-    if (page_.size() == seq_len_) {
-        page_.erase(page_.begin());
-        offset_.erase(offset_.begin());
-    }
-    page_.push_back(t.page);
-    offset_.push_back(t.offset);
-    std::vector<Addr> out;
-    if (page_.size() < seq_len_)
-        return out;
-    table_.probe(t.pc, page_.data(), offset_.data(), seq_len_,
-                 probe_out_);
-    decode_candidates(
-        probe_out_, degree_,
-        [&](const TokenPrediction &p) {
-            return vocab_.decode(p.page, p.offset, access.line);
-        },
-        out);
-    return out;
 }
 
 }  // namespace voyager::core

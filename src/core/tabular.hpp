@@ -23,13 +23,10 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/model.hpp"
 #include "core/vocab.hpp"
-#include "sim/prefetcher.hpp"
 #include "util/flat_hash.hpp"
 #include "util/stat_registry.hpp"
 
@@ -179,45 +176,5 @@ distill_to_table(const EncodedStream &encoded,
                  const std::vector<std::size_t> &indices,
                  const std::vector<std::vector<TokenPrediction>> &teacher,
                  std::size_t seq_len, const TabularConfig &cfg);
-
-/**
- * The serving tables as the paper's §5.5 practical prefetcher: each
- * access is encoded as encode_stream does into a trailing `seq_len`
- * token window, which probes the table; a hit is decoded against the
- * access's line by decode_candidates. Silent before min_index() and
- * on a miss.
- */
-class TabularPrefetcher final : public sim::Prefetcher
-{
-  public:
-    /** Borrows both; keep the table and vocabulary alive while
-     *  prefetching. @throws std::invalid_argument if seq_len is 0. */
-    TabularPrefetcher(const TabularTable &table, const Vocabulary &vocab,
-                      std::size_t seq_len, std::uint32_t degree);
-
-    std::string name() const override { return "voyager_tabular"; }
-    std::vector<Addr> on_access(const sim::LlcAccess &access) override;
-
-    /** The table's modeled footprint. */
-    std::uint64_t
-    storage_bytes() const override
-    {
-        return table_.storage_bytes();
-    }
-
-    /** Accesses before the first probe (VoyagerAdapter::min_index). */
-    std::size_t min_index() const { return seq_len_ - 1; }
-
-  private:
-    const TabularTable &table_;
-    const Vocabulary &vocab_;
-    std::size_t seq_len_;
-    std::uint32_t degree_;
-    std::optional<Addr> prev_line_;
-    /** Trailing token window, oldest first. */
-    std::vector<std::int32_t> page_;
-    std::vector<std::int32_t> offset_;
-    std::vector<TokenPrediction> probe_out_;
-};
 
 }  // namespace voyager::core

@@ -262,54 +262,6 @@ train_online(SequenceModel &model, std::size_t stream_size,
     return res;
 }
 
-OnlineResult
-train_offline(SequenceModel &model, std::size_t stream_size,
-              double train_fraction, const OnlineTrainConfig &cfg)
-{
-    OnlineResult res;
-    res.predictions.assign(stream_size, {});
-    if (stream_size == 0)
-        return res;
-    const auto split = static_cast<std::size_t>(
-        train_fraction * static_cast<double>(stream_size));
-    res.first_predicted_index = split;
-
-    std::vector<std::size_t> train_idx(split);
-    for (std::size_t i = 0; i < split; ++i)
-        train_idx[i] = i;
-    Rng rng(cfg.seed);
-    if (cfg.max_train_samples_per_epoch > 0 &&
-        train_idx.size() > cfg.max_train_samples_per_epoch) {
-        rng.shuffle(train_idx);
-        train_idx.resize(cfg.max_train_samples_per_epoch);
-        std::sort(train_idx.begin(), train_idx.end());
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t e = 0; e < cfg.epochs; ++e) {
-        double loss = 0.0;
-        for (std::size_t pass = 0; pass < cfg.train_passes; ++pass) {
-            loss = model.train_on(train_idx);
-            res.trained_samples += train_idx.size();
-        }
-        res.epoch_losses.push_back(loss);
-        model.on_epoch_end();
-    }
-    res.train_seconds = seconds_since(t0);
-
-    std::vector<std::size_t> test_idx;
-    test_idx.reserve(stream_size - split);
-    for (std::size_t i = split; i < stream_size; ++i)
-        test_idx.push_back(i);
-    const auto t1 = std::chrono::steady_clock::now();
-    auto preds = model.predict_on(test_idx, cfg.degree);
-    res.inference_seconds = seconds_since(t1);
-    for (std::size_t k = 0; k < test_idx.size(); ++k)
-        res.predictions[test_idx[k]] = std::move(preds[k]);
-    res.predicted_samples = test_idx.size();
-    return res;
-}
-
 // ---------------------------------------------------------------------
 // VoyagerAdapter
 // ---------------------------------------------------------------------

@@ -186,17 +186,6 @@ OnlineResult train_online(SequenceModel &model, std::size_t stream_size,
                           const OnlineTrainConfig &cfg,
                           const CheckpointConfig &ckpt);
 
-/**
- * The *offline* protocol of prior ML work (Hashemi et al.; paper
- * §2.2): train on the first `train_fraction` of the stream for
- * `epochs` passes, then predict the held-out remainder once. The paper
- * argues this methodology is unrealistic for hardware (no continuous
- * adaptation); it is provided so the two protocols can be compared.
- */
-OnlineResult train_offline(SequenceModel &model, std::size_t stream_size,
-                           double train_fraction,
-                           const OnlineTrainConfig &cfg);
-
 /** Binds VoyagerModel to a stream: vocab + labels + decode. */
 class VoyagerAdapter final : public SequenceModel
 {

@@ -98,8 +98,8 @@ Adam::step()
         return;
     }
     if (cfg_.clip_norm > 0.0 && norm > cfg_.clip_norm && norm > 0.0) {
-        // Inline clip reusing the norm computed for the finite-ness
-        // check (clip_gradients would sweep the gradients again).
+        // Global-norm clip, reusing the norm computed for the
+        // finite-ness check.
         const float scale = static_cast<float>(cfg_.clip_norm / norm);
         for (Matrix *g : grads)
             scale_inplace(*g, scale);

@@ -126,57 +126,4 @@ HierarchicalSoftmax::loss_and_grad(
     return loss / static_cast<double>(batch);
 }
 
-std::vector<std::pair<std::int32_t, float>>
-HierarchicalSoftmax::predict_topk(const float *x, std::size_t k,
-                                  std::size_t beam) const
-{
-    // Level 1: full cluster distribution.
-    std::vector<float> cluster_scores(num_clusters_);
-    for (std::size_t c = 0; c < num_clusters_; ++c) {
-        float acc = bc_.value.at(0, c);
-        const float *w = wc_.value.data() + c;
-        for (std::size_t j = 0; j < in_; ++j)
-            acc += x[j] * w[j * num_clusters_];
-        cluster_scores[c] = acc;
-    }
-    softmax_span(cluster_scores.data(), num_clusters_);
-
-    std::vector<std::size_t> order(num_clusters_);
-    for (std::size_t c = 0; c < num_clusters_; ++c)
-        order[c] = c;
-    const std::size_t b = std::min(beam, num_clusters_);
-    std::partial_sort(order.begin(), order.begin() + b, order.end(),
-                      [&](std::size_t a, std::size_t c) {
-                          return cluster_scores[a] > cluster_scores[c];
-                      });
-
-    // Level 2 inside the beam clusters only.
-    std::vector<std::pair<std::int32_t, float>> out;
-    std::vector<float> class_scores(cluster_size_);
-    for (std::size_t bi = 0; bi < b; ++bi) {
-        const std::size_t c = order[bi];
-        const std::size_t base = c * cluster_size_;
-        const std::size_t span =
-            std::min(cluster_size_, classes_ - base);
-        for (std::size_t i = 0; i < span; ++i) {
-            float acc = bv_.value.at(0, base + i);
-            const float *w = wv_.value.data() + base + i;
-            for (std::size_t j = 0; j < in_; ++j)
-                acc += x[j] * w[j * classes_];
-            class_scores[i] = acc;
-        }
-        softmax_span(class_scores.data(), span);
-        for (std::size_t i = 0; i < span; ++i) {
-            out.emplace_back(static_cast<std::int32_t>(base + i),
-                             cluster_scores[c] * class_scores[i]);
-        }
-    }
-    std::sort(out.begin(), out.end(), [](const auto &a, const auto &c) {
-        return a.second > c.second;
-    });
-    if (out.size() > k)
-        out.resize(k);
-    return out;
-}
-
 }  // namespace voyager::nn

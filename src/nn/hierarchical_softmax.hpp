@@ -44,16 +44,6 @@ class HierarchicalSoftmax
                          const std::vector<std::int32_t> &targets,
                          Matrix &dx);
 
-    /**
-     * Approximate top-k classes for one input row: evaluates the
-     * `beam` most probable clusters only (exact when beam equals the
-     * cluster count).
-     * @return (class, probability) pairs, descending.
-     */
-    std::vector<std::pair<std::int32_t, float>>
-    predict_topk(const float *x, std::size_t k,
-                 std::size_t beam = 2) const;
-
     std::size_t classes() const { return classes_; }
     std::size_t clusters() const { return num_clusters_; }
     std::size_t cluster_size() const { return cluster_size_; }

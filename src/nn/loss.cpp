@@ -73,21 +73,6 @@ bce_multilabel_loss(const Matrix &logits,
 }
 
 std::vector<std::int32_t>
-argmax_rows(const Matrix &m)
-{
-    std::vector<std::int32_t> out(m.rows());
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const float *row = m.row(r);
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < m.cols(); ++c)
-            if (row[c] > row[best])
-                best = c;
-        out[r] = static_cast<std::int32_t>(best);
-    }
-    return out;
-}
-
-std::vector<std::int32_t>
 topk_row(const Matrix &m, std::size_t row, std::size_t k)
 {
     const float *r = m.row(row);

@@ -37,9 +37,6 @@ double bce_multilabel_loss(const Matrix &logits,
                                labels,
                            Matrix &dlogits, float pos_weight = 1.0f);
 
-/** Row-wise argmax of a logits/probability matrix. */
-std::vector<std::int32_t> argmax_rows(const Matrix &m);
-
 /** Indices of the top-k entries of one row, descending. */
 std::vector<std::int32_t> topk_row(const Matrix &m, std::size_t row,
                                    std::size_t k);

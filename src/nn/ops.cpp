@@ -479,16 +479,6 @@ add_inplace(Matrix &y, const Matrix &x)
 }
 
 void
-axpy(Matrix &y, float alpha, const Matrix &x)
-{
-    assert(y.size() == x.size());
-    float *yd = y.data();
-    const float *xd = x.data();
-    for (std::size_t i = 0; i < y.size(); ++i)
-        yd[i] += alpha * xd[i];
-}
-
-void
 scale_inplace(Matrix &y, float alpha)
 {
     float *yd = y.data();
@@ -782,28 +772,6 @@ lstm_gate_row_ref(float *z, const float *bias, const float *c_prev,
     }
 }
 
-void
-hadamard(const Matrix &a, const Matrix &b, Matrix &y)
-{
-    assert(a.size() == b.size() && a.size() == y.size());
-    const float *ad = a.data();
-    const float *bd = b.data();
-    float *yd = y.data();
-    for (std::size_t i = 0; i < y.size(); ++i)
-        yd[i] = ad[i] * bd[i];
-}
-
-void
-hadamard_add(const Matrix &a, const Matrix &b, Matrix &y)
-{
-    assert(a.size() == b.size() && a.size() == y.size());
-    const float *ad = a.data();
-    const float *bd = b.data();
-    float *yd = y.data();
-    for (std::size_t i = 0; i < y.size(); ++i)
-        yd[i] += ad[i] * bd[i];
-}
-
 double
 sum_squares(const Matrix &m)
 {
@@ -822,24 +790,6 @@ is_finite(const Matrix &m)
         if (!std::isfinite(d[i]))
             return false;
     return true;
-}
-
-void
-clip_gradients(const std::vector<Matrix *> &grads, float max_norm)
-{
-    double total = 0.0;
-    for (const Matrix *g : grads)
-        total += sum_squares(*g);
-    const double norm = std::sqrt(total);
-    // A NaN/Inf norm means a poisoned gradient: `norm <= max_norm` is
-    // false for NaN, and scaling by max_norm/norm would smear the
-    // poison across every parameter. Leave the gradients untouched —
-    // Adam::step detects the same condition and skips the update.
-    if (norm <= max_norm || norm == 0.0 || !std::isfinite(norm))
-        return;
-    const float scale = static_cast<float>(max_norm / norm);
-    for (Matrix *g : grads)
-        scale_inplace(*g, scale);
 }
 
 }  // namespace voyager::nn

@@ -126,9 +126,6 @@ void gemm_nt_ref(const Matrix &a, const Matrix &b, Matrix &c);
 /** y += x (same shape). */
 void add_inplace(Matrix &y, const Matrix &x);
 
-/** y += alpha * x. */
-void axpy(Matrix &y, float alpha, const Matrix &x);
-
 /** Scale in place. */
 void scale_inplace(Matrix &y, float alpha);
 
@@ -187,21 +184,10 @@ void lstm_gate_backward_row(const float *__restrict z,
 void lstm_gate_row_ref(float *z, const float *bias, const float *c_prev,
                        float *c, float *h, std::size_t hidden);
 
-/** Elementwise product: y = a ⊙ b. */
-void hadamard(const Matrix &a, const Matrix &b, Matrix &y);
-
-/** y += a ⊙ b. */
-void hadamard_add(const Matrix &a, const Matrix &b, Matrix &y);
-
 /** Sum of squares of all elements. */
 double sum_squares(const Matrix &m);
 
 /** True when every element is finite (no NaN/Inf). */
 bool is_finite(const Matrix &m);
-
-/** Global gradient-norm clipping over a set of gradients. A
- *  non-finite global norm leaves the gradients untouched (the caller
- *  is expected to skip the step; see Adam::step). */
-void clip_gradients(const std::vector<Matrix *> &grads, float max_norm);
 
 }  // namespace voyager::nn

@@ -98,20 +98,6 @@ QMatrix::quantize(const Matrix &w, bool transpose)
     return out;
 }
 
-Matrix
-QMatrix::dequantize() const
-{
-    Matrix out(rows_, cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const std::int8_t *src = row(r);
-        const float s = scales_[r];
-        float *dst = out.row(r);
-        for (std::size_t c = 0; c < cols_; ++c)
-            dst[c] = static_cast<float>(src[c]) * s;
-    }
-    return out;
-}
-
 void
 QMatrix::pack() const
 {

@@ -105,9 +105,6 @@ class QMatrix
         return row_sums_.data();
     }
 
-    /** Dequantize back to fp32 in this matrix's (rows, cols) layout. */
-    Matrix dequantize() const;
-
     /** int8 payload bytes: values plus per-row fp32 scales. */
     std::uint64_t bytes() const
     {

@@ -48,39 +48,4 @@ make_prefetcher(const std::string &name, std::uint32_t degree)
     throw std::invalid_argument("unknown prefetcher: " + name);
 }
 
-const std::vector<std::string> &
-rule_based_names()
-{
-    static const std::vector<std::string> names = {
-        "stms", "isb", "domino", "bo", "sms", "ip_stride", "next_line",
-        "stream_group", "isb+bo",
-    };
-    return names;
-}
-
-std::vector<std::vector<voyager::Addr>>
-oracle_predictions(const std::vector<sim::LlcAccess> &stream,
-                   std::uint32_t degree)
-{
-    std::vector<std::vector<voyager::Addr>> preds(stream.size());
-    // Collect future load lines with a backward sweep.
-    std::vector<voyager::Addr> next_loads;
-    std::vector<std::size_t> next_load_idx(stream.size(),
-                                           stream.size());
-    std::size_t next = stream.size();
-    for (std::size_t i = stream.size(); i-- > 0;) {
-        next_load_idx[i] = next;
-        if (stream[i].is_load)
-            next = i;
-    }
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        std::size_t j = next_load_idx[i];
-        for (std::uint32_t k = 0; k < degree && j < stream.size();
-             ++k, j = next_load_idx[j]) {
-            preds[i].push_back(stream[j].line);
-        }
-    }
-    return preds;
-}
-
 }  // namespace voyager::prefetch

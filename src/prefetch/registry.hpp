@@ -1,18 +1,13 @@
 /**
  * @file
- * Factory for rule-based prefetchers by name, plus the oracle
- * prediction helper used by the paper's benchmark-selection
- * methodology ("an oracle that always correctly prefetches the next
- * load").
+ * Factory for rule-based prefetchers by name.
  */
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/prefetcher.hpp"
-#include "sim/simulator.hpp"
 
 namespace voyager::prefetch {
 
@@ -24,16 +19,5 @@ namespace voyager::prefetch {
  */
 std::unique_ptr<sim::Prefetcher>
 make_prefetcher(const std::string &name, std::uint32_t degree = 1);
-
-/** Names accepted by make_prefetcher (excluding "none"). */
-const std::vector<std::string> &rule_based_names();
-
-/**
- * Oracle predictions over an LLC stream: for access i, the line of the
- * next *load* access after i. Feed into sim::ReplayPrefetcher.
- */
-std::vector<std::vector<voyager::Addr>>
-oracle_predictions(const std::vector<sim::LlcAccess> &stream,
-                   std::uint32_t degree = 1);
 
 }  // namespace voyager::prefetch

@@ -111,12 +111,6 @@ TabularPredictor::predict_tokens_for(
 }
 
 void
-TabularPredictor::report_outcome(std::uint32_t tenant, bool accurate)
-{
-    record(tenants_[tenant], accurate);
-}
-
-void
 TabularPredictor::export_stats(StatRegistry &reg) const
 {
     reg.counter("distill.serve.probes") = n_probes_;

@@ -25,8 +25,7 @@ namespace voyager::serve {
 /** Drift-fallback knobs for the tabular serving path. */
 struct TabularServeConfig
 {
-    /** Rolling per-tenant window length (probe outcomes + reported
-     *  accuracy outcomes). */
+    /** Rolling per-tenant window length, in probe outcomes. */
     std::uint32_t drift_window = 64;
     /** Window hit-rate floor; below it the tenant is served neurally
      *  for the next `drift_window` rows, then probed again. */
@@ -71,14 +70,6 @@ class TabularPredictor final : public TokenPredictor
     {
         return "distilled";
     }
-
-    /**
-     * Feed a client-measured accuracy outcome into `tenant`'s rolling
-     * window (an inaccurate prefetch counts like a table miss), so
-     * tenants whose tables answer confidently-but-wrongly also drift
-     * back to the neural path.
-     */
-    void report_outcome(std::uint32_t tenant, bool accurate);
 
     /**
      * Export the closed `distill.serve.*` namespace: probe/hit/miss

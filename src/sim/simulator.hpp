@@ -91,8 +91,8 @@ std::vector<LlcAccess> extract_llc_stream(const trace::Trace &trace,
 
 /**
  * Replay prefetcher: per-LLC-access-index candidate lists computed
- * offline (used for the neural models and the oracle, whose
- * predictions are functions of the access index).
+ * ahead of the run (the neural models' predictions, which are
+ * functions of the access index).
  */
 class ReplayPrefetcher final : public Prefetcher
 {

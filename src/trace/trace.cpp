@@ -6,7 +6,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -46,17 +45,16 @@ quote_bytes(std::string_view s, std::size_t max = 48)
     return out;
 }
 
-/** Throw a TraceError naming file, record/line and offending bytes. */
+/** Throw a TraceError naming file, record and offending bytes. */
 [[noreturn]] void
 fail(const std::string &file, std::uint64_t record,
-     const char *record_label, const std::string &problem,
-     std::string_view bytes)
+     const std::string &problem, std::string_view bytes)
 {
     std::string msg = "trace: " + problem;
     if (!file.empty())
         msg += " in " + file;
     if (record != TraceError::kNoRecord)
-        msg += strfmt(" at %s %llu", record_label,
+        msg += strfmt(" at record %llu",
                       static_cast<unsigned long long>(record));
     if (!bytes.empty())
         msg += ": '" + quote_bytes(bytes) + "'";
@@ -72,7 +70,7 @@ read_header_pod(std::istream &is, const std::string &file,
     T v{};
     is.read(reinterpret_cast<char *>(&v), sizeof(v));
     if (!is) {
-        fail(file, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord,
              std::string("truncated stream reading ") + what, {});
     }
     return v;
@@ -155,27 +153,27 @@ Trace::load_binary(std::istream &is, const std::string &file)
 {
     const auto magic = read_header_pod<std::uint32_t>(is, file, "magic");
     if (magic != kMagic) {
-        fail(file, TraceError::kNoRecord, "", "bad magic",
+        fail(file, TraceError::kNoRecord, "bad magic",
              std::string_view(reinterpret_cast<const char *>(&magic),
                               sizeof(magic)));
     }
     const auto version =
         read_header_pod<std::uint32_t>(is, file, "version");
     if (version != kVersion) {
-        fail(file, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord,
              strfmt("unsupported version %u", version), {});
     }
     Trace t;
     const auto name_len =
         read_header_pod<std::uint32_t>(is, file, "name length");
     if (name_len > kMaxNameLen) {
-        fail(file, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord,
              strfmt("implausible name length %u", name_len), {});
     }
     t.name_.resize(name_len);
     is.read(t.name_.data(), name_len);
     if (!is) {
-        fail(file, TraceError::kNoRecord, "",
+        fail(file, TraceError::kNoRecord,
              "truncated stream reading name", {});
     }
     t.instructions_ =
@@ -193,7 +191,7 @@ Trace::load_binary(std::istream &is, const std::string &file)
         char buf[kRecSize];
         is.read(buf, kRecSize);
         if (!is) {
-            fail(file, i, "record", "truncated stream",
+            fail(file, i, "truncated stream",
                  std::string_view(
                      buf, static_cast<std::size_t>(is.gcount())));
         }
@@ -209,60 +207,9 @@ Trace::load_binary(std::istream &is, const std::string &file)
         else if (a.instr_id < last_id)
             problem = "non-monotonic instr_id";
         if (!problem.empty())
-            fail(file, i, "record", problem,
-                 std::string_view(buf, kRecSize));
+            fail(file, i, problem, std::string_view(buf, kRecSize));
         a.is_load = kind_byte != 0;
         last_id = a.instr_id;
-        t.append(a);
-    }
-    return t;
-}
-
-void
-Trace::save_text(std::ostream &os) const
-{
-    os << "# trace " << name_ << " instructions=" << instructions_ << '\n';
-    for (const auto &a : accesses_) {
-        os << a.instr_id << ' ' << a.pc << ' ' << a.addr << ' '
-           << (a.is_load ? 'L' : 'S') << '\n';
-    }
-}
-
-Trace
-Trace::load_text(std::istream &is, const std::string &file)
-{
-    Trace t;
-    std::string line;
-    std::uint64_t lineno = 0;
-    std::uint64_t last_id = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        const std::string body = trim(line);
-        if (body.empty() || body[0] == '#')
-            continue;  // blank / comment-header line
-        std::istringstream ls(body);
-        std::uint64_t id = 0;
-        std::uint64_t pc = 0;
-        std::uint64_t addr = 0;
-        char kind = 0;
-        std::string extra;
-        std::string problem;
-        if (!(ls >> id >> pc >> addr >> kind))
-            problem = "malformed text record";
-        else if (kind != 'L' && kind != 'S')
-            problem = strfmt("bad access kind '%c'", kind);
-        else if (ls >> extra)
-            problem = "trailing bytes after record";
-        else if (id < last_id)
-            problem = "non-monotonic instr_id";
-        if (!problem.empty())
-            fail(file, lineno, "line", problem, body);
-        MemoryAccess a;
-        a.instr_id = id;
-        a.pc = pc;
-        a.addr = addr;
-        a.is_load = kind == 'L';
-        last_id = id;
         t.append(a);
     }
     return t;

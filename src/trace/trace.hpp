@@ -1,6 +1,6 @@
 /**
  * @file
- * In-memory trace container with binary/text serialization and the
+ * In-memory trace container with binary serialization and the
  * footprint statistics reported in the paper's Table 2.
  */
 #pragma once
@@ -17,10 +17,9 @@ namespace voyager::trace {
 
 /**
  * Error raised by the trace readers. Carries the source file name
- * (empty when reading from an anonymous stream) and the record index
- * (text: 1-based line number; binary: 0-based record ordinal;
- * kNoRecord when the failure precedes the record section) in addition
- * to a message that quotes the offending bytes.
+ * (empty when reading from an anonymous stream) and the 0-based record
+ * ordinal (kNoRecord when the failure precedes the record section) in
+ * addition to a message that quotes the offending bytes.
  */
 class TraceError : public std::runtime_error
 {
@@ -36,7 +35,7 @@ class TraceError : public std::runtime_error
 
     /** Source file name, or empty for anonymous streams. */
     const std::string &file() const { return file_; }
-    /** Record index / line number, or kNoRecord. */
+    /** Record index, or kNoRecord. */
     std::uint64_t record() const { return record_; }
 
   private:
@@ -101,12 +100,6 @@ class Trace
      */
     static Trace load_binary(std::istream &is,
                              const std::string &file = {});
-
-    /** One access per line: instr_id pc addr kind. */
-    void save_text(std::ostream &os) const;
-    /** Parse save_text output. @throws TraceError as load_binary
-     *  does; its record index is the 1-based line. */
-    static Trace load_text(std::istream &is, const std::string &file = {});
 
     /** File convenience wrappers. @throws TraceError /
      *  std::runtime_error on I/O. */

@@ -45,23 +45,11 @@ Config::from_args(int argc, const char *const *argv)
         arg = arg.substr(2);
         auto eq = arg.find('=');
         if (eq == std::string::npos)
-            cfg.set(arg, "true");
+            cfg.values_[arg] = "true";
         else
-            cfg.set(arg.substr(0, eq), arg.substr(eq + 1));
+            cfg.values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
     return cfg;
-}
-
-void
-Config::set(const std::string &key, const std::string &value)
-{
-    values_[key] = value;
-}
-
-bool
-Config::has(const std::string &key) const
-{
-    return values_.count(key) != 0;
 }
 
 std::string
@@ -69,16 +57,6 @@ Config::get_string(const std::string &key, const std::string &def) const
 {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
-}
-
-std::int64_t
-Config::get_int(const std::string &key, std::int64_t def) const
-{
-    auto it = values_.find(key);
-    return it == values_.end()
-               ? def
-               : parse_number<std::int64_t>(key, it->second,
-                                            "an integer");
 }
 
 std::uint64_t
@@ -108,16 +86,6 @@ Config::get_bool(const std::string &key, bool def) const
         return def;
     const std::string &v = it->second;
     return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
-std::vector<std::string>
-Config::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(values_.size());
-    for (const auto &kv : values_)
-        out.push_back(kv.first);
-    return out;
 }
 
 }  // namespace voyager

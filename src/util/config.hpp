@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace voyager {
 
@@ -25,10 +24,6 @@ class Config
      */
     static Config from_args(int argc, const char *const *argv);
 
-    void set(const std::string &key, const std::string &value);
-
-    bool has(const std::string &key) const;
-
     std::string get_string(const std::string &key,
                            const std::string &def = "") const;
     /**
@@ -37,13 +32,9 @@ class Config
      * trailing junk ("12abc"), a sign on get_uint ("-1") or overflow
      * throws std::invalid_argument naming the key and the value.
      */
-    std::int64_t get_int(const std::string &key, std::int64_t def) const;
     std::uint64_t get_uint(const std::string &key, std::uint64_t def) const;
     double get_double(const std::string &key, double def) const;
     bool get_bool(const std::string &key, bool def) const;
-
-    /** All keys, sorted, for help/debug output. */
-    std::vector<std::string> keys() const;
 
   private:
     std::map<std::string, std::string> values_;

@@ -110,12 +110,6 @@ Rng::next_bool(double p)
     return next_double() < p;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next_u64() ^ 0xd1b54a32d192ed03ull);
-}
-
 RngState
 Rng::state() const
 {

@@ -67,9 +67,6 @@ class Rng
         }
     }
 
-    /** Fork an independent stream (for parallel components). */
-    Rng split();
-
     /** Snapshot the full generator state. */
     RngState state() const;
 

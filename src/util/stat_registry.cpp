@@ -299,11 +299,4 @@ StatRegistry::json(const EmitOptions &opts) const
     return os.str();
 }
 
-StatRegistry &
-StatRegistry::global()
-{
-    static StatRegistry reg;
-    return reg;
-}
-
 }  // namespace voyager

@@ -128,14 +128,6 @@ class StatRegistry
     std::string json(const EmitOptions &opts = {}) const;
 
     /**
-     * The process-wide registry used by bench harnesses and module
-     * code without an explicit registry parameter. Library exporters
-     * all take an explicit registry; only harness-level timing flows
-     * through the global instance.
-     */
-    static StatRegistry &global();
-
-    /**
      * RAII phase timer: on destruction adds the elapsed seconds to the
      * volatile gauge `<name>.seconds` and increments the volatile
      * counter `<name>.count`.

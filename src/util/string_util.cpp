@@ -23,18 +23,6 @@ split(const std::string &s, char delim)
 }
 
 std::string
-join(const std::vector<std::string> &parts, const std::string &delim)
-{
-    std::string out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            out += delim;
-        out += parts[i];
-    }
-    return out;
-}
-
-std::string
 trim(const std::string &s)
 {
     std::size_t b = 0;

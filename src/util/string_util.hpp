@@ -14,10 +14,6 @@ namespace voyager {
 /** Split on a delimiter; empty fields are preserved. */
 std::vector<std::string> split(const std::string &s, char delim);
 
-/** Join with a delimiter. */
-std::string join(const std::vector<std::string> &parts,
-                 const std::string &delim);
-
 /** Trim ASCII whitespace from both ends. */
 std::string trim(const std::string &s);
 

@@ -129,8 +129,6 @@ class CountingModel final : public core::SequenceModel
     train_on(const std::vector<std::size_t> &idx) override
     {
         per_epoch.push_back(idx.size());
-        if (!idx.empty())
-            max_index = std::max(max_index, idx.back());
         return 0.0;
     }
     std::vector<std::vector<Addr>>
@@ -142,7 +140,6 @@ class CountingModel final : public core::SequenceModel
     std::uint64_t parameter_bytes() const override { return 0; }
 
     std::vector<std::size_t> per_epoch;
-    std::size_t max_index = 0;
 };
 
 TEST(CumulativeReplay, TrainsOnEverythingSeenSoFar)
@@ -169,31 +166,6 @@ TEST(CumulativeReplay, CapStillApplies)
     core::train_online(m, 400, cfg);
     for (const auto n : m.per_epoch)
         EXPECT_LE(n, 50u);
-}
-
-TEST(OfflineProtocol, TrainsOnPrefixPredictsSuffix)
-{
-    CountingModel m;
-    core::OnlineTrainConfig cfg;
-    cfg.epochs = 3;
-    cfg.train_passes = 2;
-    const auto res = core::train_offline(m, 1000, 0.6, cfg);
-    EXPECT_EQ(res.first_predicted_index, 600u);
-    // 3 epochs x 2 passes over the 600-sample prefix.
-    EXPECT_EQ(m.per_epoch.size(), 6u);
-    for (const auto n : m.per_epoch)
-        EXPECT_EQ(n, 600u);
-    EXPECT_LE(m.max_index, 599u);
-    EXPECT_EQ(res.predicted_samples, 400u);
-    for (std::size_t i = 0; i < 600; ++i)
-        EXPECT_TRUE(res.predictions[i].empty());
-}
-
-TEST(OfflineProtocol, EmptyStream)
-{
-    CountingModel m;
-    const auto res = core::train_offline(m, 0, 0.5, {});
-    EXPECT_TRUE(res.predictions.empty());
 }
 
 TEST(MultiLabelBce, TrainsAndPredicts)

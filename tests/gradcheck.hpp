@@ -1,13 +1,33 @@
-#include "nn/gradcheck.hpp"
+/**
+ * @file
+ * Central-difference gradient checking used by the test suite to
+ * verify every hand-written backward pass.
+ */
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
+
+#include "nn/matrix.hpp"
 
 namespace voyager::nn {
 
-double
+/**
+ * Compare the analytic gradient stored in `param.grad` against a
+ * numeric central difference of `loss_fn` for the given flat indices.
+ *
+ * `loss_fn` must recompute the full forward pass and return the loss;
+ * it must NOT mutate gradients. The caller is responsible for having
+ * run forward+backward once so `param.grad` is populated.
+ *
+ * @return the maximum relative error over the checked entries, where
+ *         relative error = |a - n| / max(1e-4, |a| + |n|).
+ */
+inline double
 gradient_check(Param &param, const std::function<double()> &loss_fn,
-               const std::vector<std::size_t> &indices, float eps)
+               const std::vector<std::size_t> &indices, float eps = 1e-2f)
 {
     double max_rel = 0.0;
     float *w = param.value.data();
@@ -29,7 +49,8 @@ gradient_check(Param &param, const std::function<double()> &loss_fn,
     return max_rel;
 }
 
-std::vector<std::size_t>
+/** Evenly spaced sample of k indices over a parameter of size n. */
+inline std::vector<std::size_t>
 sample_indices(std::size_t n, std::size_t k)
 {
     std::vector<std::size_t> out;

@@ -14,6 +14,7 @@
 #include "core/trainer.hpp"
 #include "prefetch/registry.hpp"
 #include "prefetch/stms.hpp"
+#include "reference.hpp"
 #include "sim/simulator.hpp"
 #include "trace/gen/workloads.hpp"
 
@@ -190,9 +191,9 @@ TEST(Integration, CompressionPreservesPredictions)
 TEST(Integration, TabularPrefetcherTracksNeuralSource)
 {
     // Train Voyager, distill its token candidates over the predicted
-    // epochs into the serving tables, and verify the table prefetcher
-    // reproduces the neural predictions on the same stream (paper
-    // §5.5's practical route).
+    // epochs into the serving tables, and verify that the tables alone
+    // reproduce the neural predictions on the same stream (paper
+    // §5.5's practical route, bench_distill's table-only path).
     const auto t = trace::gen::make_workload("pr", Scale::Tiny, 6);
     const auto cfg = sim::tiny_sim_config();
     const auto stream = extract_llc_stream(t, cfg);
@@ -212,19 +213,32 @@ TEST(Integration, TabularPrefetcherTracksNeuralSource)
     core::TabularConfig tcfg;
     tcfg.degree = ocfg.degree;
     const std::size_t seq_len = small_voyager().seq_len;
+    const auto &enc = voyager.encoded();
     const auto table = core::distill_to_table(
-        voyager.encoded(), indices,
+        enc, indices,
         voyager.predict_token_candidates(
             indices, tcfg.degree + core::kDecodeOverFetch),
         seq_len, tcfg);
     EXPECT_GT(table.l1_entries(), 10u);
 
-    // Replay both through the metric machinery: the table prefetcher
-    // should recover a meaningful share of the neural predictions.
-    core::TabularPrefetcher tabular(table, voyager.vocab(), seq_len,
-                                    ocfg.degree);
-    const auto table_preds =
-        core::run_prefetcher_on_stream(tabular, stream);
+    // Replay the tables over each access's trailing seq_len window: a
+    // probe, then decode against the access's line. A miss predicts
+    // nothing. The tables should recover a meaningful share of the
+    // neural predictions.
+    std::vector<std::vector<Addr>> table_preds(stream.size());
+    std::vector<core::TokenPrediction> probed;
+    for (std::size_t i = voyager.min_index(); i < stream.size(); ++i) {
+        const std::size_t start = i + 1 - seq_len;
+        table.probe(enc.pc[i], enc.page.data() + start,
+                    enc.offset.data() + start, seq_len, probed);
+        core::decode_candidates(
+            probed, ocfg.degree,
+            [&](const core::TokenPrediction &p) {
+                return voyager.vocab().decode(p.page, p.offset,
+                                              stream[i].line);
+            },
+            table_preds[i]);
+    }
     const auto neural = unified_accuracy_coverage(
         stream, res.predictions, res.first_predicted_index);
     const auto replayed = unified_accuracy_coverage(
@@ -232,12 +246,6 @@ TEST(Integration, TabularPrefetcherTracksNeuralSource)
     if (neural.value() > 0.05) {
         EXPECT_GT(replayed.value(), neural.value() * 0.3);
     }
-
-    // And it is simulator-compatible.
-    core::TabularPrefetcher fresh(table, voyager.vocab(), seq_len,
-                                  ocfg.degree);
-    const auto r = simulate(t, cfg, fresh);
-    EXPECT_EQ(r.prefetcher_name, "voyager_tabular");
 }
 
 TEST(Integration, StorageComparisonVoyagerVsTemporal)

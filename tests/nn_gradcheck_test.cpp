@@ -5,8 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "gradcheck.hpp"
 #include "nn/attention.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"

@@ -21,6 +21,7 @@
 #include "nn/ops.hpp"
 #include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
+#include "reference.hpp"
 
 namespace voyager::nn {
 namespace {

@@ -335,7 +335,7 @@ TEST(Ops, GemmOperandLayoutDoesNotChangeBits)
             }
 }
 
-TEST(Ops, AddAxpyScale)
+TEST(Ops, AddScale)
 {
     Matrix y(1, 3);
     Matrix x(1, 3);
@@ -345,10 +345,8 @@ TEST(Ops, AddAxpyScale)
     }
     add_inplace(y, x);
     EXPECT_EQ(y.at(0, 2), 3.0f);
-    axpy(y, 2.0f, x);
-    EXPECT_EQ(y.at(0, 0), 3.0f);
     scale_inplace(y, 0.5f);
-    EXPECT_EQ(y.at(0, 0), 1.5f);
+    EXPECT_EQ(y.at(0, 2), 1.5f);
 }
 
 TEST(Ops, BiasForwardBackward)
@@ -408,40 +406,12 @@ TEST(Ops, SigmoidAndTanh)
     EXPECT_NEAR(t.at(0, 1), 1.0f, 1e-6f);
 }
 
-TEST(Ops, Hadamard)
-{
-    Matrix a(1, 3, 2.0f);
-    Matrix b(1, 3, 3.0f);
-    Matrix y(1, 3, 10.0f);
-    hadamard(a, b, y);
-    EXPECT_EQ(y.at(0, 0), 6.0f);
-    hadamard_add(a, b, y);
-    EXPECT_EQ(y.at(0, 0), 12.0f);
-}
-
 TEST(Ops, SumSquares)
 {
     Matrix m(1, 3);
     m.at(0, 0) = 3.0f;
     m.at(0, 1) = 4.0f;
     EXPECT_DOUBLE_EQ(sum_squares(m), 25.0);
-}
-
-TEST(Ops, ClipGradientsScalesToNorm)
-{
-    Matrix g(1, 2);
-    g.at(0, 0) = 3.0f;
-    g.at(0, 1) = 4.0f;  // norm 5
-    clip_gradients({&g}, 1.0f);
-    EXPECT_NEAR(std::sqrt(sum_squares(g)), 1.0, 1e-5);
-}
-
-TEST(Ops, ClipGradientsNoOpBelowNorm)
-{
-    Matrix g(1, 2);
-    g.at(0, 0) = 0.3f;
-    clip_gradients({&g}, 1.0f);
-    EXPECT_NEAR(g.at(0, 0), 0.3f, 1e-7f);
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "nn/qmatrix.hpp"
 #include "nn/qops.hpp"
 #include "nn/quantize.hpp"
+#include "reference.hpp"
 #include "util/random.hpp"
 
 namespace voyager::nn {
@@ -102,7 +103,7 @@ TEST(QMatrixTest, RoundTripAndIdempotentRequantize)
     const QMatrix q = QMatrix::quantize(w, /*transpose=*/false);
     ASSERT_EQ(q.rows(), 9u);
     ASSERT_EQ(q.cols(), 17u);
-    const Matrix deq = q.dequantize();
+    const Matrix deq = dequantize(q);
     for (std::size_t r = 0; r < w.rows(); ++r) {
         // scale = max|row|/127, so error <= scale/2 and the extreme
         // element maps exactly.
@@ -118,7 +119,7 @@ TEST(QMatrixTest, RoundTripAndIdempotentRequantize)
     // grid — the property that makes the int8 engine execute exactly
     // the weights compress_model left behind.
     const QMatrix q2 = QMatrix::quantize(deq, /*transpose=*/false);
-    EXPECT_EQ(q2.dequantize(), deq);
+    EXPECT_EQ(dequantize(q2), deq);
 
     // transpose = true reads per output channel (column).
     const QMatrix qt = QMatrix::quantize(w, /*transpose=*/true);
@@ -126,7 +127,7 @@ TEST(QMatrixTest, RoundTripAndIdempotentRequantize)
     ASSERT_EQ(qt.cols(), 9u);
     for (std::size_t c = 0; c < w.cols(); ++c)
         for (std::size_t r = 0; r < w.rows(); ++r)
-            EXPECT_NEAR(qt.dequantize().at(c, r), w.at(r, c),
+            EXPECT_NEAR(dequantize(qt).at(c, r), w.at(r, c),
                         qt.scale(c) * 0.5f + 1e-7f);
 }
 
@@ -137,7 +138,7 @@ TEST(QMatrixTest, ZeroRowsStayExactlyZero)
     const QMatrix q = QMatrix::quantize(w, /*transpose=*/false);
     EXPECT_EQ(q.scale(0), 0.0f);
     EXPECT_EQ(q.scale(2), 0.0f);
-    const Matrix deq = q.dequantize();
+    const Matrix deq = dequantize(q);
     for (std::size_t c = 0; c < 6; ++c) {
         EXPECT_EQ(deq.at(0, c), 0.0f);
         EXPECT_EQ(deq.at(3, c), 0.0f);

@@ -10,6 +10,7 @@
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/ops.hpp"
+#include "reference.hpp"
 
 namespace voyager::nn {
 namespace {

@@ -14,6 +14,7 @@
 #include "prefetch/registry.hpp"
 #include "prefetch/stms.hpp"
 #include "prefetch/stride.hpp"
+#include "reference.hpp"
 #include "util/random.hpp"
 
 namespace voyager::prefetch {

@@ -10,6 +10,7 @@
 #include "core/metrics.hpp"
 #include "core/vocab.hpp"
 #include "prefetch/registry.hpp"
+#include "reference.hpp"
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
 #include "util/random.hpp"

@@ -8,6 +8,7 @@
 
 #include "prefetch/registry.hpp"
 #include "prefetch/sms.hpp"
+#include "reference.hpp"
 
 namespace voyager {
 namespace {

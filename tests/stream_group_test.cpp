@@ -15,6 +15,7 @@
 #include "prefetch/registry.hpp"
 #include "prefetch/stream_group.hpp"
 #include "prefetch/stride.hpp"
+#include "reference.hpp"
 #include "util/random.hpp"
 
 namespace voyager {

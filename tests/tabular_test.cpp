@@ -2,17 +2,14 @@
  * @file
  * Unit tests for the tabularized serving tables (DESIGN.md §5.18):
  * layered L1/L2 probes, rank-weighted voting, the strict byte budget,
- * CLOCK frequency-aging eviction, the TabularPredictor's miss/drift
- * fallback routing over the deterministic StubPredictor, and the
- * TabularPrefetcher replaying the tables in the simulator's interface.
+ * CLOCK frequency-aging eviction, and the TabularPredictor's
+ * miss/drift fallback routing over the deterministic StubPredictor.
  */
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/decode.hpp"
 #include "core/tabular.hpp"
 #include "distill_fixture.hpp"
 #include "serve_fixture.hpp"
@@ -239,88 +236,6 @@ TEST(TabularUnit, DistillToTableMatchesManualObservation)
     }
 }
 
-/** Distill the stub teacher over indices [seq_len - 1, end) of the
- *  encoded stream under `budget`. */
-TabularTable
-distill_prefix(const core::EncodedStream &enc, std::size_t seq_len,
-               std::size_t end, std::uint64_t budget)
-{
-    std::vector<std::size_t> indices;
-    for (std::size_t i = seq_len - 1; i < end; ++i)
-        indices.push_back(i);
-    TabularConfig cfg;
-    cfg.l1_history = seq_len;
-    cfg.l2_history = 1;
-    cfg.degree = 2;
-    cfg.budget_bytes = budget;
-    return core::distill_to_table(
-        enc, indices, distill_test::stub_teacher(enc, indices, 4),
-        seq_len, cfg);
-}
-
-TEST(TabularPrefetcherUnit, ReplayMatchesProbeAndDecodeOfTheWindow)
-{
-    // A starved budget over the first half of the stream leaves both
-    // hits and misses for the replay to cross.
-    const auto stream = serve_test::serve_cyclic_stream(400, 30, 7);
-    const auto vocab = core::Vocabulary::build(stream);
-    const auto enc = core::encode_stream(stream, vocab);
-    constexpr std::size_t kSeqLen = 4;
-    constexpr std::uint32_t kDegree = 2;
-    const auto table = distill_prefix(enc, kSeqLen, 200, 512);
-    core::TabularPrefetcher pf(table, vocab, kSeqLen, kDegree);
-    ASSERT_EQ(pf.min_index(), kSeqLen - 1);
-
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::vector<TokenPrediction> probed;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        SCOPED_TRACE(i);
-        const auto got = pf.on_access(stream[i]);
-        if (i < pf.min_index()) {
-            EXPECT_TRUE(got.empty());
-            continue;
-        }
-        const std::size_t start = i + 1 - kSeqLen;
-        const auto level =
-            table.probe(enc.pc[i], enc.page.data() + start,
-                        enc.offset.data() + start, kSeqLen, probed);
-        std::vector<Addr> want;
-        core::decode_candidates(
-            probed, kDegree,
-            [&](const TokenPrediction &p) {
-                return vocab.decode(p.page, p.offset, stream[i].line);
-            },
-            want);
-        EXPECT_EQ(got, want);
-        if (level == TabularTable::ProbeLevel::Miss) {
-            EXPECT_TRUE(got.empty());
-            ++misses;
-        } else {
-            hits += got.empty() ? 0 : 1;
-        }
-    }
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(misses, 0u);
-}
-
-TEST(TabularPrefetcherUnit, StorageIsTheTableFootprintWithinBudget)
-{
-    const auto stream = serve_test::serve_cyclic_stream(240, 30, 3);
-    const auto vocab = core::Vocabulary::build(stream);
-    const auto enc = core::encode_stream(stream, vocab);
-    for (const std::uint64_t budget : {0ull, 512ull, 65536ull}) {
-        SCOPED_TRACE(budget);
-        const auto table = distill_prefix(enc, 4, enc.size(), budget);
-        const core::TabularPrefetcher pf(table, vocab, 4, 2);
-        EXPECT_EQ(pf.storage_bytes(), table.storage_bytes());
-        EXPECT_LE(pf.storage_bytes(), budget);
-    }
-    const auto table = distill_prefix(enc, 4, enc.size(), 512);
-    EXPECT_THROW(core::TabularPrefetcher(table, vocab, 0, 2),
-                 std::invalid_argument);
-}
-
 /** One-row batch over a token window, StubPredictor-compatible. */
 core::VoyagerBatch
 one_row(const std::vector<std::int32_t> &page,
@@ -428,38 +343,6 @@ TEST(TabularPredictorUnit, DriftWindowForcesNeuralThenRecovers)
     EXPECT_EQ(reg.counter("distill.serve.drift_events"), 2u);
     EXPECT_EQ(reg.counter("distill.serve.fallback_rows"), 12u);
     EXPECT_EQ(reg.counter("distill.serve.tenants"), 1u);
-}
-
-TEST(TabularPredictorUnit, ReportedInaccuracyTripsDrift)
-{
-    TabularConfig cfg;
-    cfg.l1_history = 4;
-    cfg.l2_history = 1;
-    cfg.degree = 2;
-    TabularTable table(cfg);
-    const std::int32_t page[] = {3, 4, 5, 6};
-    const std::int32_t offset[] = {0, 1, 2, 3};
-    table.observe(9, page, offset, 4, cands({{40, 0}}));
-
-    serve_test::StubPredictor stub(4);
-    serve::TabularServeConfig tsc;
-    tsc.drift_window = 4;
-    tsc.min_hit_rate = 0.9;
-    serve::TabularPredictor pred(table, stub, tsc);
-
-    // The table answers confidently, but the client reports the
-    // prefetches as inaccurate: the accuracy window must drift the
-    // tenant to the neural path even though every probe hit.
-    for (int i = 0; i < 4; ++i)
-        pred.report_outcome(7, false);
-    pred.predict_tokens_for(one_row({3, 4, 5, 6}, {0, 1, 2, 3}, 9),
-                            2, {7});
-
-    StatRegistry reg;
-    pred.export_stats(reg);
-    EXPECT_EQ(reg.counter("distill.serve.drift_events"), 1u);
-    EXPECT_EQ(reg.counter("distill.serve.drift_rows"), 1u);
-    EXPECT_EQ(reg.counter("distill.serve.probes"), 0u);
 }
 
 }  // namespace

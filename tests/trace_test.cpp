@@ -104,23 +104,10 @@ TEST(Trace, BinaryRejectsGarbage)
     EXPECT_THROW(Trace::load_binary(ss), std::runtime_error);
 }
 
-TEST(Trace, TextRoundTrip)
-{
-    Trace t("txt");
-    t.append(acc(1, 11, 111));
-    t.append(acc(2, 22, 222, false));
-    std::stringstream ss;
-    t.save_text(ss);
-    const Trace u = Trace::load_text(ss);
-    ASSERT_EQ(u.size(), 2u);
-    EXPECT_EQ(u[0].pc, 11u);
-    EXPECT_FALSE(u[1].is_load);
-}
-
 // ---------------------------------------------------------------------
 // Malformed inputs, one class at a time: every error must be a
-// TraceError carrying the file, the record index / line number and the
-// offending bytes.
+// TraceError carrying the file, the record index and the offending
+// bytes.
 // ---------------------------------------------------------------------
 
 /** A small serialized trace as a mutable byte string. */
@@ -242,38 +229,6 @@ TEST(TraceErrors, NonMonotonicIdReportsItsRecord)
         EXPECT_NE(std::string(e.what()).find("non-monotonic instr_id"),
                   std::string::npos);
     }
-}
-
-TEST(TraceErrors, TextMalformedClassesReportLineAndBody)
-{
-    struct Case
-    {
-        const char *body;
-        const char *problem;
-    };
-    const Case cases[] = {
-        {"1 2", "malformed text record"},
-        {"zz 2 3 L", "malformed text record"},
-        {"1 2 3 Q", "bad access kind 'Q'"},
-        {"1 2 3 L extra", "trailing bytes after record"},
-    };
-    for (const auto &c : cases) {
-        std::istringstream is(std::string("5 6 7 L\n") + c.body + "\n");
-        try {
-            Trace::load_text(is, "t.txt");
-            FAIL() << "accepted: " << c.body;
-        } catch (const TraceError &e) {
-            EXPECT_EQ(e.record(), 2u) << c.body;  // 1-based line
-            const std::string what = e.what();
-            EXPECT_NE(what.find(c.problem), std::string::npos) << what;
-            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-            EXPECT_NE(what.find(c.body), std::string::npos)
-                << "offending line not quoted: " << what;
-        }
-    }
-    // Non-monotonic ids are caught in text form too.
-    std::istringstream is("9 1 1 L\n3 1 1 L\n");
-    EXPECT_THROW(Trace::load_text(is), TraceError);
 }
 
 TEST(Recorder, AdvancesInstructionIds)

@@ -129,16 +129,6 @@ TEST(Rng, ShuffleIsPermutation)
     EXPECT_EQ(v, w);
 }
 
-TEST(Rng, SplitStreamsAreIndependent)
-{
-    Rng a(23);
-    Rng b = a.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += a.next_u64() == b.next_u64();
-    EXPECT_LT(same, 2);
-}
-
 TEST(Zipf, UniformWhenExponentZero)
 {
     Rng r(29);
@@ -263,10 +253,10 @@ TEST(Config, ParsesFlagsAndValues)
 {
     const char *argv[] = {"prog", "--alpha=3", "--beta=x", "--flag"};
     const auto cfg = Config::from_args(4, argv);
-    EXPECT_EQ(cfg.get_int("alpha", 0), 3);
+    EXPECT_EQ(cfg.get_uint("alpha", 0), 3u);
     EXPECT_EQ(cfg.get_string("beta", ""), "x");
     EXPECT_TRUE(cfg.get_bool("flag", false));
-    EXPECT_EQ(cfg.get_int("missing", 42), 42);
+    EXPECT_EQ(cfg.get_uint("missing", 42), 42u);
 }
 
 TEST(Config, RejectsPositional)
@@ -277,20 +267,18 @@ TEST(Config, RejectsPositional)
 
 TEST(Config, TypedGetters)
 {
-    Config c;
-    c.set("d", "2.5");
-    c.set("u", "18446744073709551615");
-    c.set("b", "yes");
+    const char *argv[] = {"prog", "--d=2.5", "--u=18446744073709551615",
+                          "--b=yes"};
+    const auto c = Config::from_args(4, argv);
     EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), 2.5);
     EXPECT_EQ(c.get_uint("u", 0), ~0ull);
     EXPECT_TRUE(c.get_bool("b", false));
     EXPECT_FALSE(c.get_bool("nope", false));
-    EXPECT_EQ(c.keys().size(), 3u);
 }
 
 TEST(Config, NumericGettersRejectMalformedValues)
 {
-    enum Getter { Int, Uint, Double };
+    enum Getter { Uint, Double };
     struct Case
     {
         Getter getter;
@@ -299,15 +287,10 @@ TEST(Config, NumericGettersRejectMalformedValues)
         double expect;  // when ok
     };
     const Case cases[] = {
-        {Int, "12", true, 12},
-        {Int, "-7", true, -7},
-        {Int, "9223372036854775807", true, 9223372036854775807.0},
-        {Int, "12abc", false, 0},
-        {Int, "1.5", false, 0},
-        {Int, "", false, 0},
-        {Int, " 3", false, 0},
-        {Int, "+3", false, 0},
-        {Int, "9223372036854775808", false, 0},
+        {Uint, "1.5", false, 0},
+        {Uint, "", false, 0},
+        {Uint, " 3", false, 0},
+        {Uint, "+3", false, 0},
         {Uint, "0", true, 0},
         {Uint, "18446744073709551615", true, 18446744073709551615.0},
         {Uint, "-1", false, 0},
@@ -325,12 +308,11 @@ TEST(Config, NumericGettersRejectMalformedValues)
         SCOPED_TRACE(testing::Message()
                      << "getter " << c.getter << " value '" << c.value
                      << "'");
-        Config cfg;
-        cfg.set("k", c.value);
+        const std::string flag = std::string("--k=") + c.value;
+        const char *argv[] = {"prog", flag.c_str()};
+        const auto cfg = Config::from_args(2, argv);
         const auto get = [&]() -> double {
             switch (c.getter) {
-            case Int:
-                return static_cast<double>(cfg.get_int("k", 0));
             case Uint:
                 return static_cast<double>(cfg.get_uint("k", 0));
             case Double:
@@ -353,11 +335,10 @@ TEST(Config, NumericGettersRejectMalformedValues)
     }
 }
 
-TEST(Strings, SplitJoinTrim)
+TEST(Strings, SplitTrim)
 {
     EXPECT_EQ(split("a,b,,c", ',').size(), 4u);
     EXPECT_EQ(split("a,b", ',')[1], "b");
-    EXPECT_EQ(join({"x", "y"}, "-"), "x-y");
     EXPECT_EQ(trim("  hi \n"), "hi");
     EXPECT_EQ(trim(""), "");
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: build + run every ctest under the release preset (warnings
-# as errors), then the labelled suites under the asan-ubsan preset
+# as errors; this includes the four examples, label `examples`), then
+# the labelled suites under the asan-ubsan preset
 # (Debug + ASan + UBSan); run the nn/int8/golden/serve/core suites in a
 # portable (non -march=native) build; and validate bench binaries'
 # --stats_json documents against the schema checker. Run from the
