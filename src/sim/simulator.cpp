@@ -103,12 +103,14 @@ SimResult::export_stats(StatRegistry &reg,
 std::vector<LlcAccess>
 extract_llc_stream(const trace::Trace &trace, const SimConfig &cfg)
 {
+    // The cycle handed to the hierarchy only sets DRAM latencies, which
+    // no record carries; any non-decreasing value will do.
     std::vector<LlcAccess> stream;
     MemoryHierarchy mem(cfg.hierarchy, nullptr);
     mem.set_llc_observer(
         [&stream](const LlcAccess &a) { stream.push_back(a); });
-    OoOCore core(cfg.core);
-    core.run(trace, mem);
+    for (const trace::MemoryAccess &a : trace.accesses())
+        mem.access(a, a.instr_id);
     return stream;
 }
 

@@ -81,10 +81,13 @@ SimResult simulate(const trace::Trace &trace, const SimConfig &cfg,
                    Prefetcher &prefetcher);
 
 /**
- * Run the trace with no prefetcher and capture every demand LLC
- * access. This stream is invariant under LLC prefetching (an L2 miss
- * reaches the LLC whether it hits or misses there), so models trained
- * and evaluated on it can later be replayed inside a prefetching run.
+ * Run the trace's accesses, in order, through the hierarchy with no
+ * prefetcher and capture every demand LLC access. No core model runs:
+ * without prefetches the stream and each record's hit depend only on
+ * access order, so cfg.core is not read. This stream is invariant
+ * under LLC prefetching (an L2 miss reaches the LLC whether it hits
+ * or misses there), so models trained and evaluated on it can later
+ * be replayed inside a prefetching run.
  */
 std::vector<LlcAccess> extract_llc_stream(const trace::Trace &trace,
                                           const SimConfig &cfg);

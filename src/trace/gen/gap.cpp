@@ -43,7 +43,7 @@ make_pagerank_trace(const GapParams &p)
     Rng rng(p.seed);
     Graph g = make_powerlaw_graph(p.num_nodes, p.avg_degree, p.skew, rng);
     Trace t("pr");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     const NodeId n_nodes = g.num_nodes();
@@ -104,7 +104,7 @@ make_bfs_trace(const GapParams &p)
     Rng rng(p.seed);
     Graph g = make_uniform_graph(p.num_nodes, p.avg_degree, rng);
     Trace t("bfs");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     const NodeId n_nodes = g.num_nodes();
@@ -158,7 +158,7 @@ make_cc_trace(const GapParams &p)
     Rng rng(p.seed);
     Graph g = make_uniform_graph(p.num_nodes, p.avg_degree, rng);
     Trace t("cc");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     const NodeId n_nodes = g.num_nodes();

@@ -52,7 +52,7 @@ make_oltp_trace(const char *name, const OltpParams &p,
 {
     Rng rng(p.seed);
     Trace t(name);
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     ZipfSampler keys(sp.hash_buckets, p.key_skew);

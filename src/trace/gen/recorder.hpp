@@ -70,6 +70,14 @@ checked_budget(std::uint64_t max_accesses)
     return max_accesses;
 }
 
+/**
+ * Accesses a generator reserves past its budget. Generators test the
+ * budget between kernel beats, so most finish a few accesses past it
+ * (at most 79, soplex at Tiny scale). Were the buffer full there, that
+ * last beat would reallocate it and copy the whole trace.
+ */
+inline constexpr std::uint64_t kBudgetSlack = 128;
+
 /** Appends accesses to a Trace while tracking instruction ids. */
 class TraceRecorder
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <vector>
 
 #include "trace/gen/recorder.hpp"
@@ -25,7 +26,7 @@ make_mcf_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("mcf");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // Network simplex: scan arcs with a small stride; each arc names a
@@ -86,7 +87,7 @@ make_omnetpp_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("omnetpp");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // Discrete-event simulation: a binary heap of events plus recycled
@@ -162,7 +163,7 @@ make_soplex_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("soplex");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // Simplex pricing: walk sparse columns (index + value arrays), then
@@ -241,7 +242,7 @@ make_astar_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("astar");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // Grid pathfinding: expand nodes from an open-list heap, touching
@@ -259,7 +260,9 @@ make_astar_trace(const SpecParams &p)
         return arr(50, y * side + x, 16);
     };
 
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> open;
+    // A deque: pops take one of the first four entries, so erasing
+    // one shifts at most three instead of the whole list.
+    std::deque<std::pair<std::uint32_t, std::uint32_t>> open;
     std::size_t heap_len = 0;
     while (rec.recorded() < p.max_accesses) {
         if (open.empty()) {
@@ -300,7 +303,7 @@ make_sphinx_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("sphinx");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // Speech decoding: per audio frame, score the active HMM states.
@@ -350,7 +353,7 @@ make_xalancbmk_trace(const SpecParams &p)
 {
     Rng rng(p.seed);
     Trace t("xalancbmk");
-    t.reserve(checked_budget(p.max_accesses));
+    t.reserve(checked_budget(p.max_accesses) + kBudgetSlack);
     TraceRecorder rec(t);
 
     // XSLT transform: depth-first DOM traversal over first-child /

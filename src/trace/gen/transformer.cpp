@@ -208,6 +208,18 @@ context_cap(const TransformerParams &p)
     return std::min<Addr>(cap, kMaxTokens);
 }
 
+/**
+ * Buffer size for a transformer trace. A whole step lands before the
+ * budget is tested again, so a trace can end several percent past it
+ * (prefill at Small scale: 6301 accesses over 160000); a buffer full
+ * at that point would reallocate and copy the whole trace.
+ */
+std::uint64_t
+with_headroom(std::uint64_t budget)
+{
+    return budget + budget / 16;
+}
+
 }  // namespace
 
 Trace
@@ -216,7 +228,7 @@ make_transformer_prefill_trace(const TransformerParams &p)
     const std::uint64_t budget = checked_budget(p.max_accesses);
     Rng rng(p.seed);
     Trace t("xf_prefill");
-    t.reserve(budget);
+    t.reserve(with_headroom(budget));
     TraceRecorder rec(t);
     const Model m(p);
 
@@ -286,7 +298,7 @@ make_transformer_decode_trace(const TransformerParams &p)
     const std::uint64_t budget = checked_budget(p.max_accesses);
     Rng rng(p.seed);
     Trace t("xf_decode");
-    t.reserve(budget);
+    t.reserve(with_headroom(budget));
     TraceRecorder rec(t);
     const Model m(p);
 
@@ -311,7 +323,7 @@ make_transformer_mixed_trace(const TransformerParams &p)
     const std::uint64_t budget = checked_budget(p.max_accesses);
     Rng rng(p.seed);
     Trace t("xf_mixed");
-    t.reserve(budget);
+    t.reserve(with_headroom(budget));
     TraceRecorder rec(t);
     const Model m(p);
 

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/huge_pages.hpp"
 #include "util/string_util.hpp"
 
 namespace voyager::trace {
@@ -79,12 +79,11 @@ read_header_pod(std::istream &is, const std::string &file,
 }  // namespace
 
 void
-Trace::append(const MemoryAccess &a)
+Trace::reserve(std::size_t n)
 {
-    assert(accesses_.empty() || a.instr_id >= accesses_.back().instr_id);
-    accesses_.push_back(a);
-    if (a.instr_id + 1 > instructions_)
-        instructions_ = a.instr_id + 1;
+    accesses_.reserve(n);
+    advise_huge_pages(accesses_.data(),
+                      accesses_.capacity() * sizeof(MemoryAccess));
 }
 
 TraceStats

@@ -5,6 +5,7 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
@@ -69,8 +70,23 @@ class Trace
     const std::string &name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
 
-    void reserve(std::size_t n) { accesses_.reserve(n); }
-    void append(const MemoryAccess &a);
+    /**
+     * Reserve room for n accesses. A buffer of 2 MiB or more is
+     * advised for transparent huge pages: generators fill it front to
+     * back, and 4 KiB pages would fault once per 128 accesses.
+     */
+    void reserve(std::size_t n);
+
+    /** Append an access; instr_id must not decrease. */
+    void
+    append(const MemoryAccess &a)
+    {
+        assert(accesses_.empty() ||
+               a.instr_id >= accesses_.back().instr_id);
+        accesses_.push_back(a);
+        if (a.instr_id + 1 > instructions_)
+            instructions_ = a.instr_id + 1;
+    }
 
     const std::vector<MemoryAccess> &accesses() const { return accesses_; }
     std::size_t size() const { return accesses_.size(); }

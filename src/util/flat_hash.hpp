@@ -40,10 +40,7 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
+#include "util/huge_pages.hpp"
 
 namespace voyager {
 
@@ -627,32 +624,6 @@ class FlatHashMap
     }
 
     /**
-     * Ask the kernel to back a large array with huge pages. Random
-     * probes into a multi-MB slot array otherwise spend a TLB walk
-     * per lookup; `std::unordered_map`'s per-node heap cannot opt in.
-     * Advisory only — every failure mode is "keep 4K pages".
-     */
-    static void
-    advise_huge(void *mem, std::size_t bytes)
-    {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-        static const std::size_t page =
-            static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-        if (bytes < (std::size_t{2} << 20))
-            return;
-        auto addr = reinterpret_cast<std::uintptr_t>(mem);
-        const std::uintptr_t lo = (addr + page - 1) & ~(page - 1);
-        const std::uintptr_t hi = (addr + bytes) & ~(page - 1);
-        if (hi > lo)
-            ::madvise(reinterpret_cast<void *>(lo), hi - lo,
-                      MADV_HUGEPAGE);
-#else
-        (void)mem;
-        (void)bytes;
-#endif
-    }
-
-    /**
      * Allocate tag + slot arrays for `n` buckets (tags all empty).
      * The arrays are separate allocations on purpose: the tag array
      * is 1/16th the slot footprint (8-byte pairs), so given its own
@@ -669,8 +640,8 @@ class FlatHashMap
             tags_[i] = flat_detail::kEmptyWord;
         slots_ = static_cast<Slot *>(::operator new(
             slot_bytes(n), std::align_val_t(block_align())));
-        advise_huge(tags_, tag_bytes(n));
-        advise_huge(slots_, slot_bytes(n));
+        advise_huge_pages(tags_, tag_bytes(n));
+        advise_huge_pages(slots_, slot_bytes(n));
         nbuckets_ = n;
     }
 

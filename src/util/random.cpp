@@ -1,8 +1,10 @@
 #include "util/random.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace voyager {
 
@@ -132,7 +134,7 @@ Rng::set_state(const RngState &s)
 
 ZipfSampler::ZipfSampler(std::size_t n, double s)
 {
-    assert(n > 0);
+    assert(n > 0 && n <= std::numeric_limits<std::uint32_t>::max());
     cdf_.resize(n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -141,16 +143,37 @@ ZipfSampler::ZipfSampler(std::size_t n, double s)
     }
     for (auto &c : cdf_)
         c /= sum;
+
+    // One merge-like pass: bucket bounds b/G rise with b, so each
+    // lower_bound resumes where the previous one stopped. G is a power
+    // of two, so b/G is exact and so is the bucket a draw lands in.
+    const std::size_t g = std::bit_ceil(n);
+    buckets_ = static_cast<double>(g);
+    guide_.resize(g + 1);
+    std::size_t i = 0;
+    for (std::size_t b = 0; b <= g; ++b) {
+        const double bound = static_cast<double>(b) / buckets_;
+        while (i < n && cdf_[i] < bound)
+            ++i;
+        guide_[b] = static_cast<std::uint32_t>(i);
+    }
 }
 
 std::size_t
 ZipfSampler::sample(Rng &rng) const
 {
+    // u lies in [b/G, (b+1)/G), so the whole-CDF lower_bound lies in
+    // [guide_[b], guide_[b+1]]: every index before guide_[b] is below
+    // b/G <= u and cdf_[guide_[b+1]] >= (b+1)/G > u.
     const double u = rng.next_double();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    const auto b = static_cast<std::size_t>(u * buckets_);
+    const auto first = cdf_.begin() + guide_[b];
+    const auto last = cdf_.begin() + guide_[b + 1];
+    const auto it = std::lower_bound(first, last, u);
+    // The last CDF entry is sum/sum = 1 > u, so `it` is in range for
+    // any finite CDF; the clamp keeps a non-finite one in range too.
+    return std::min(static_cast<std::size_t>(it - cdf_.begin()),
+                    cdf_.size() - 1);
 }
 
 }  // namespace voyager

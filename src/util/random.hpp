@@ -82,9 +82,13 @@ class Rng
 /**
  * Zipf-distributed sampler over {0, ..., n-1} with exponent s.
  *
- * Uses a precomputed inverse-CDF table, so sampling is O(log n). The
- * OLTP (search/ads) generators use this to produce the skewed key
- * popularity that makes production streams hard to prefetch.
+ * Inverts a precomputed CDF. A guide table splits [0, 1) into G
+ * equal buckets (G the power of two >= n); bucket b holds the first
+ * CDF index >= b/G, so a draw binary-searches only between its
+ * bucket's two bounds and returns exactly the index a search of the
+ * whole CDF would. The OLTP (search/ads) generators use this to
+ * produce the skewed key popularity that makes production streams
+ * hard to prefetch.
  */
 class ZipfSampler
 {
@@ -92,13 +96,17 @@ class ZipfSampler
     /** @param n population size @param s exponent (s=0 -> uniform). */
     ZipfSampler(std::size_t n, double s);
 
-    /** Draw one sample in [0, n). */
+    /** Draw one sample in [0, n); consumes one next_double(). */
     std::size_t sample(Rng &rng) const;
 
     std::size_t population() const { return cdf_.size(); }
 
   private:
     std::vector<double> cdf_;
+    /** G + 1 entries: guide_[b] = lower_bound(cdf_, b / G). */
+    std::vector<std::uint32_t> guide_;
+    /** G as a double, so u * G is exact for the 53-bit u. */
+    double buckets_ = 1.0;
 };
 
 }  // namespace voyager

@@ -7,12 +7,14 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "prefetch/stride.hpp"
 #include "util/random.hpp"
 #include "sim/core_model.hpp"
 #include "sim/simulator.hpp"
 #include "trace/gen/recorder.hpp"
+#include "trace/gen/workloads.hpp"
 
 namespace voyager::sim {
 namespace {
@@ -199,6 +201,56 @@ TEST(Simulator, LlcStreamInvariantUnderPrefetching)
     ASSERT_EQ(stream1.size(), stream2.size());
     for (std::size_t i = 0; i < stream1.size(); ++i)
         ASSERT_EQ(stream1[i].line, stream2[i].line);
+}
+
+/** The extraction as it ran through the core timing model: the oracle
+ *  the in-order cache walk must reproduce record for record. */
+std::vector<LlcAccess>
+core_llc_stream(const trace::Trace &t, const SimConfig &cfg)
+{
+    std::vector<LlcAccess> stream;
+    MemoryHierarchy mem(cfg.hierarchy, nullptr);
+    mem.set_llc_observer(
+        [&stream](const LlcAccess &a) { stream.push_back(a); });
+    OoOCore core(cfg.core);
+    core.run(t, mem);
+    return stream;
+}
+
+void
+expect_stream_matches_core(const trace::Trace &t, const SimConfig &cfg)
+{
+    const auto want = core_llc_stream(t, cfg);
+    const auto got = extract_llc_stream(t, cfg);
+    ASSERT_GT(want.size(), 0u) << t.name();
+    ASSERT_EQ(got.size(), want.size()) << t.name();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << t.name() << " record " << i);
+        ASSERT_EQ(got[i].index, want[i].index);
+        ASSERT_EQ(got[i].instr_id, want[i].instr_id);
+        ASSERT_EQ(got[i].pc, want[i].pc);
+        ASSERT_EQ(got[i].line, want[i].line);
+        ASSERT_EQ(got[i].is_load, want[i].is_load);
+        ASSERT_EQ(got[i].hit, want[i].hit);
+    }
+}
+
+TEST(LlcStreamExtraction, MatchesCoreOracleOnEveryTinyWorkload)
+{
+    for (const auto &name : trace::gen::all_benchmarks()) {
+        expect_stream_matches_core(
+            trace::gen::make_workload(name, trace::gen::Scale::Tiny, 1),
+            tiny_sim_config());
+    }
+}
+
+TEST(LlcStreamExtraction, MatchesCoreOracleOnSmallStreams)
+{
+    for (const char *name : {"xalancbmk", "bfs", "mcf"}) {
+        expect_stream_matches_core(
+            trace::gen::make_workload(name, trace::gen::Scale::Small, 1),
+            small_sim_config());
+    }
 }
 
 }  // namespace

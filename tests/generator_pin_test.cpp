@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -95,6 +96,12 @@ scale_name(Scale s)
 {
     return s == Scale::Tiny ? "tiny" : s == Scale::Small ? "small"
                                                           : "paper";
+}
+
+void
+PrintTo(const HashPin &p, std::ostream *os)
+{
+    *os << p.name << " at " << scale_name(p.scale);
 }
 
 class TraceHash : public ::testing::TestWithParam<HashPin>
