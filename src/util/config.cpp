@@ -85,7 +85,11 @@ Config::get_bool(const std::string &key, bool def) const
     if (it == values_.end())
         return def;
     const std::string &v = it->second;
-    return v == "1" || v == "true" || v == "yes" || v == "on";
+    if (v == "1" || v == "true" || v == "yes" || v == "on")
+        return true;
+    if (v == "0" || v == "false" || v == "no" || v == "off")
+        return false;
+    throw std::invalid_argument("--" + key + "=" + v + ": not a boolean");
 }
 
 }  // namespace voyager

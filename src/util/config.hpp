@@ -34,6 +34,11 @@ class Config
      */
     std::uint64_t get_uint(const std::string &key, std::uint64_t def) const;
     double get_double(const std::string &key, double def) const;
+    /**
+     * `def` when the key is absent (a bare `--key` reads "true").
+     * Accepts 1/true/yes/on and 0/false/no/off; any other value
+     * ("ture") throws std::invalid_argument naming the key and value.
+     */
     bool get_bool(const std::string &key, bool def) const;
 
   private:

@@ -274,6 +274,34 @@ TEST(Config, TypedGetters)
     EXPECT_EQ(c.get_uint("u", 0), ~0ull);
     EXPECT_TRUE(c.get_bool("b", false));
     EXPECT_FALSE(c.get_bool("nope", false));
+    EXPECT_TRUE(c.get_bool("nope", true));
+
+    // get_bool takes four spellings each way and a bare flag; any
+    // other value is rejected like a malformed number.
+    for (const char *v : {"1", "true", "yes", "on"}) {
+        const std::string flag = std::string("--k=") + v;
+        const char *args[] = {"prog", flag.c_str()};
+        EXPECT_TRUE(Config::from_args(2, args).get_bool("k", false)) << v;
+    }
+    for (const char *v : {"0", "false", "no", "off"}) {
+        const std::string flag = std::string("--k=") + v;
+        const char *args[] = {"prog", flag.c_str()};
+        EXPECT_FALSE(Config::from_args(2, args).get_bool("k", true)) << v;
+    }
+    const char *bare[] = {"prog", "--k"};
+    EXPECT_TRUE(Config::from_args(2, bare).get_bool("k", false));
+    for (const char *v : {"ture", "", "TRUE", "2", "y", " on"}) {
+        const std::string flag = std::string("--k=") + v;
+        const char *args[] = {"prog", flag.c_str()};
+        const auto cfg = Config::from_args(2, args);
+        try {
+            cfg.get_bool("k", false);
+            ADD_FAILURE() << "no exception for '" << v << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "--k=" + std::string(v) + ": not a boolean");
+        }
+    }
 }
 
 TEST(Config, NumericGettersRejectMalformedValues)
