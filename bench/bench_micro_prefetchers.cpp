@@ -3,8 +3,8 @@
  * Micro-benchmarks of the rule-based prefetchers and the simulator
  * datapath (google-benchmark): per-access training+prediction cost of
  * STMS/ISB/Domino/BO, raw cache/DRAM/hierarchy access throughput, and
- * whole simulations at perfbench's sim_rules shape, and the
- * labeler on perfbench's training stream.
+ * whole simulations at perfbench's sim_rules shape, paper-scale trace
+ * generation, and the labeler on perfbench's training stream.
  */
 #include <benchmark/benchmark.h>
 
@@ -200,6 +200,33 @@ BENCHMARK_CAPTURE(BM_Simulate, domino, "domino")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Simulate, bo, "bo")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Simulate, isb_bo, "isb+bo")
+    ->Unit(benchmark::kMillisecond);
+
+/** One whole paper-scale trace generation per iteration: the set-up
+ *  every paper-scale figure and perfbench's sim_rules pay per
+ *  benchmark. Reports thread CPU time and generated accesses/s. */
+void
+BM_MakeWorkload(benchmark::State &state, const char *name)
+{
+    std::int64_t accesses = 0;
+    for (auto _ : state) {
+        const trace::Trace t =
+            trace::gen::make_workload(name, trace::gen::Scale::Paper, 1);
+        benchmark::DoNotOptimize(t.accesses().data());
+        accesses += static_cast<std::int64_t>(t.size());
+    }
+    state.counters["accesses/s"] = benchmark::Counter(
+        static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_MakeWorkload, bfs, "bfs")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeWorkload, mcf, "mcf")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeWorkload, pr, "pr")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeWorkload, astar, "astar")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeWorkload, xalancbmk, "xalancbmk")
     ->Unit(benchmark::kMillisecond);
 
 /** The repository benchmark's training stream: the first 20000 LLC

@@ -80,6 +80,15 @@ sim_out=$(./build/bench/bench_micro_prefetchers \
 printf '%s\n' "$sim_out" | grep -q "BM_Simulate/domino"
 printf '%s\n' "$sim_out" | grep -q "BM_CacheAccess"
 
+# Trace-generation smoke (DESIGN.md section 5.25): paper-scale
+# generation of the five benchmarked workloads must run and report
+# throughput. The byte-for-byte hash pins live in test_trace.
+echo "== bench_micro_prefetchers trace-generation smoke =="
+gen_out=$(./build/bench/bench_micro_prefetchers \
+    --benchmark_filter='BM_MakeWorkload' --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$gen_out" | grep -q "BM_MakeWorkload/bfs"
+printf '%s\n' "$gen_out" | grep -q "BM_MakeWorkload/astar"
+
 # Labeler smoke (DESIGN.md decision 15): all five label schemes over
 # the repository benchmark's training stream, the setup cost every
 # Voyager training pays once.
