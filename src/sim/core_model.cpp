@@ -48,15 +48,20 @@ OoOCore::run(const trace::Trace &trace, MemoryHierarchy &mem) const
         }
         ++fetched_this_cycle;
 
-        // Execute.
+        // Execute. Every access of the instruction issues at its fetch
+        // cycle; it completes with its slowest load. Stores retire
+        // without waiting for the fill.
         std::uint32_t latency = 1;
-        if (next_access < accesses.size() &&
-            accesses[next_access].instr_id == i) {
+        bool loaded = false;
+        for (; next_access < accesses.size() &&
+               accesses[next_access].instr_id == i;
+             ++next_access) {
             const auto &a = accesses[next_access];
-            ++next_access;
             const std::uint32_t mem_lat = mem.access(a, fetch_cycle);
-            // Stores retire without waiting for the fill.
-            latency = a.is_load ? mem_lat : 1;
+            if (a.is_load) {
+                latency = loaded ? std::max(latency, mem_lat) : mem_lat;
+                loaded = true;
+            }
         }
         const Cycle complete = fetch_cycle + latency;
 

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -121,6 +122,51 @@ TEST(OoOCore, SmallerRobLowersIpcUnderMisses)
     MemoryHierarchy mem_small(cfg.hierarchy, nullptr);
     const auto small = OoOCore(cfg.core).run(t, mem_small);
     EXPECT_GT(big.ipc, small.ipc * 1.5);
+}
+
+TEST(OoOCore, SharedInstrIdIssuesEveryAccess)
+{
+    // 1000 accesses to distinct pages; the 11th and 12th belong to the
+    // same instruction (id 10). Every access must still reach the
+    // hierarchy.
+    trace::Trace t("shared_id");
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        trace::MemoryAccess a;
+        a.instr_id = i <= 10 ? i : i - 1;
+        a.pc = 0x400100;
+        a.addr = 0x40000000 + i * 4096;
+        t.append(a);
+    }
+    const auto cfg = default_sim_config();
+    NullPrefetcher none;
+    const auto r = simulate(t, cfg, none);
+    EXPECT_EQ(r.llc_accesses, extract_llc_stream(t, cfg).size());
+    EXPECT_EQ(r.llc_accesses, 1000u);
+}
+
+TEST(OoOCore, InstructionWaitsForItsSlowestLoad)
+{
+    // One instruction, several accesses to one cold line: it completes
+    // with its slowest load. A miss then an L1 hit, or a miss then a
+    // store, take as long as the miss alone; a store that misses first
+    // leaves the load an L1 hit.
+    const auto cycles = [](std::initializer_list<bool> loads) {
+        trace::Trace t("one_instr");
+        for (const bool is_load : loads) {
+            trace::MemoryAccess a;
+            a.addr = 0x50000000;
+            a.is_load = is_load;
+            t.append(a);
+        }
+        const auto cfg = default_sim_config();
+        MemoryHierarchy mem(cfg.hierarchy, nullptr);
+        return OoOCore(cfg.core).run(t, mem).cycles;
+    };
+    const auto miss = cycles({true});
+    EXPECT_EQ(cycles({true, true}), miss);
+    EXPECT_EQ(cycles({true, false}), miss);
+    EXPECT_LT(cycles({false, true}), miss);
+    EXPECT_LT(cycles({false}), cycles({false, true}));
 }
 
 TEST(Simulator, PerfectReplayPrefetcherLiftsIpc)
