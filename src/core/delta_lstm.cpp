@@ -1,5 +1,6 @@
 #include "core/delta_lstm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -161,15 +162,16 @@ std::vector<std::vector<std::pair<std::int32_t, float>>>
 DeltaLstmModel::predict(const DeltaBatch &batch, std::size_t k)
 {
     forward(batch);
-    Matrix probs = logits_;
-    nn::softmax_rows(probs);
+    const std::size_t kept = std::min(k, logits_.cols());
+    std::vector<std::int32_t> idx(kept);
+    std::vector<float> prob(kept);
     std::vector<std::vector<std::pair<std::int32_t, float>>> out(
         batch.batch);
     for (std::size_t b = 0; b < batch.batch; ++b) {
-        for (const auto tok : nn::topk_row(probs, b, k)) {
-            out[b].emplace_back(
-                tok, probs.at(b, static_cast<std::size_t>(tok)));
-        }
+        nn::softmax_topk(logits_.row(b), logits_.cols(), k, false,
+                         idx.data(), prob.data());
+        for (std::size_t i = 0; i < kept; ++i)
+            out[b].emplace_back(idx[i], prob[i]);
     }
     return out;
 }

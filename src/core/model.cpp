@@ -357,6 +357,39 @@ VoyagerModel::backward(const VoyagerBatch &batch,
     }
 }
 
+void
+pick_softmax_best(const Matrix &page_probs, const Matrix &offset_probs,
+                  const std::vector<std::vector<TokenLabel>> &labels,
+                  std::vector<std::int32_t> &page_labels,
+                  std::vector<std::int32_t> &offset_labels)
+{
+    for (std::size_t b = 0; b < labels.size(); ++b) {
+        assert(!labels[b].empty());
+        // "Most predictable" candidate, with a stability rule: on
+        // near-ties (within 10% of the max) the earliest scheme wins,
+        // so early high-entropy batches train a consistent target
+        // instead of thrashing.
+        float max_p = 0.0f;
+        std::vector<float> ps(labels[b].size());
+        for (std::size_t k = 0; k < labels[b].size(); ++k) {
+            const TokenLabel &lab = labels[b][k];
+            ps[k] = page_probs.at(b, static_cast<std::size_t>(lab.page)) *
+                    offset_probs.at(b,
+                                    static_cast<std::size_t>(lab.offset));
+            max_p = std::max(max_p, ps[k]);
+        }
+        std::size_t pick = 0;
+        for (std::size_t k = 0; k < ps.size(); ++k) {
+            if (ps[k] >= 0.9f * max_p) {
+                pick = k;
+                break;
+            }
+        }
+        page_labels[b] = labels[b][pick].page;
+        offset_labels[b] = labels[b][pick].offset;
+    }
+}
+
 double
 VoyagerModel::train_step(const VoyagerBatch &batch)
 {
@@ -391,39 +424,15 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
         // first candidate (single-label ablations).
         std::vector<std::int32_t> pl(batch.batch);
         std::vector<std::int32_t> ol(batch.batch);
+        // Each head's softmax is computed once, in the gradient
+        // matrices: the label pick reads it, then it becomes the CE
+        // gradient in place.
+        dpage = page_logits_;
+        doffset = offset_logits_;
+        nn::softmax_rows(dpage);
+        nn::softmax_rows(doffset);
         if (cfg_.multi_label) {
-            Matrix page_probs = page_logits_;
-            Matrix offset_probs = offset_logits_;
-            nn::softmax_rows(page_probs);
-            nn::softmax_rows(offset_probs);
-            for (std::size_t b = 0; b < batch.batch; ++b) {
-                assert(!batch.labels[b].empty());
-                // "Most predictable" candidate, with a stability rule:
-                // on near-ties (within 10% of the max) the earliest
-                // scheme wins, so early high-entropy batches train a
-                // consistent target instead of thrashing.
-                float max_p = 0.0f;
-                std::vector<float> ps(batch.labels[b].size());
-                for (std::size_t k = 0; k < batch.labels[b].size();
-                     ++k) {
-                    const TokenLabel &lab = batch.labels[b][k];
-                    ps[k] =
-                        page_probs.at(b, static_cast<std::size_t>(
-                                             lab.page)) *
-                        offset_probs.at(b, static_cast<std::size_t>(
-                                               lab.offset));
-                    max_p = std::max(max_p, ps[k]);
-                }
-                std::size_t pick = 0;
-                for (std::size_t k = 0; k < ps.size(); ++k) {
-                    if (ps[k] >= 0.9f * max_p) {
-                        pick = k;
-                        break;
-                    }
-                }
-                pl[b] = batch.labels[b][pick].page;
-                ol[b] = batch.labels[b][pick].offset;
-            }
+            pick_softmax_best(dpage, doffset, batch.labels, pl, ol);
         } else {
             for (std::size_t b = 0; b < batch.batch; ++b) {
                 assert(!batch.labels[b].empty());
@@ -431,8 +440,8 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
                 ol[b] = batch.labels[b][0].offset;
             }
         }
-        loss += nn::softmax_ce_loss(page_logits_, pl, dpage);
-        loss += nn::softmax_ce_loss(offset_logits_, ol, doffset);
+        loss += nn::softmax_ce_from_probs(dpage, pl);
+        loss += nn::softmax_ce_from_probs(doffset, ol);
     }
 
     backward(batch, dpage, doffset);
@@ -445,41 +454,60 @@ rank_token_predictions(const Matrix &page_logits,
                        const Matrix &offset_logits, bool use_bce,
                        std::size_t k)
 {
-    // Head activations -> probabilities. With BCE training the heads
-    // are independent sigmoids; with CE they are softmaxes. Either
-    // way, ranking by (page_prob * offset_prob) picks the paper's
-    // highest-probability (page, offset) pair.
-    Matrix page_probs = page_logits;
-    Matrix offset_probs = offset_logits;
-    if (use_bce) {
-        nn::sigmoid_inplace(page_probs);
-        nn::sigmoid_inplace(offset_probs);
-    } else {
-        nn::softmax_rows(page_probs);
-        nn::softmax_rows(offset_probs);
-    }
+    // Per row, the fused head keeps each head's top k with their
+    // probabilities (independent sigmoids under BCE training,
+    // softmaxes otherwise). Ranking by page_prob * offset_prob then
+    // picks the paper's highest-probability (page, offset) pairs.
+    const std::size_t pages = page_logits.cols();
+    const std::size_t offsets = offset_logits.cols();
+    static thread_local std::vector<std::int32_t> page_idx;
+    static thread_local std::vector<std::int32_t> offset_idx;
+    static thread_local std::vector<float> page_prob;
+    static thread_local std::vector<float> offset_prob;
+    static thread_local std::vector<std::size_t> next;
+    page_idx.resize(std::min(k, pages));
+    page_prob.resize(page_idx.size());
+    next.resize(page_idx.size());
+    offset_idx.resize(std::min(k, offsets));
+    offset_prob.resize(offset_idx.size());
 
-    std::vector<std::vector<TokenPrediction>> out(page_probs.rows());
-    for (std::size_t b = 0; b < page_probs.rows(); ++b) {
-        const auto top_pages = nn::topk_row(page_probs, b, k);
-        const auto top_offsets = nn::topk_row(offset_probs, b, k);
-        std::vector<TokenPrediction> cands;
-        cands.reserve(top_pages.size() * top_offsets.size());
-        for (const auto p : top_pages) {
-            for (const auto o : top_offsets) {
-                cands.push_back(
-                    {p, o,
-                     page_probs.at(b, static_cast<std::size_t>(p)) *
-                         offset_probs.at(b, static_cast<std::size_t>(o))});
+    std::vector<std::vector<TokenPrediction>> out(page_logits.rows());
+    for (std::size_t b = 0; b < out.size(); ++b) {
+        const std::size_t np =
+            nn::softmax_topk(page_logits.row(b), pages, k, use_bce,
+                             page_idx.data(), page_prob.data());
+        const std::size_t no =
+            nn::softmax_topk(offset_logits.row(b), offsets, k, use_bce,
+                             offset_idx.data(), offset_prob.data());
+        // Merge the two descending lists: page i's next candidate is
+        // its offset next[i]. A product never grows along either list,
+        // so page i + 1 joins the frontier only once page i has
+        // emitted its best pair, and the frontier maximum comes next.
+        // Ties go to the smaller page rank, then the smaller offset
+        // rank.
+        std::vector<TokenPrediction> &row = out[b];
+        row.reserve(std::min(k, np * no));
+        std::fill(next.begin(), next.end(), 0);
+        std::size_t lo = 0;  // pages [lo, open) have offsets left
+        std::size_t open = np == 0 || no == 0 ? 0 : 1;
+        while (row.size() < k && lo < open) {
+            std::size_t best = lo;
+            float best_p = page_prob[lo] * offset_prob[next[lo]];
+            for (std::size_t i = lo + 1; i < open; ++i) {
+                if (next[i] == no)
+                    continue;
+                const float p = page_prob[i] * offset_prob[next[i]];
+                if (p > best_p) {
+                    best = i;
+                    best_p = p;
+                }
             }
+            row.push_back({page_idx[best], offset_idx[next[best]], best_p});
+            if (next[best]++ == 0 && open < np)
+                ++open;
+            while (lo < open && next[lo] == no)
+                ++lo;
         }
-        std::sort(cands.begin(), cands.end(),
-                  [](const TokenPrediction &a, const TokenPrediction &c) {
-                      return a.prob > c.prob;
-                  });
-        if (cands.size() > k)
-            cands.resize(k);
-        out[b] = std::move(cands);
     }
     return out;
 }

@@ -116,15 +116,30 @@ struct TokenPrediction
 
 /**
  * Head logits -> ranked joint (page, offset) candidates (paper §4.3):
- * per-head probabilities (independent sigmoids under BCE training,
- * softmaxes otherwise), then the top-k pairs by joint probability.
- * Shared by VoyagerModel and QuantizedVoyagerModel so the fp32 and
- * int8 paths rank identically given identical logits.
+ * per row, each head's top k by nn::softmax_topk (independent
+ * sigmoids under BCE training, softmaxes otherwise), merged into the
+ * top-k pairs by joint probability page_prob * offset_prob, ties
+ * broken by (page rank, offset rank). No probability matrix is
+ * built. Shared by VoyagerModel and QuantizedVoyagerModel so the fp32
+ * and int8 paths rank identically given identical logits.
  */
 std::vector<std::vector<TokenPrediction>>
 rank_token_predictions(const nn::Matrix &page_logits,
                        const nn::Matrix &offset_logits, bool use_bce,
                        std::size_t k);
+
+/**
+ * The SoftmaxBest label pick (§4.4, MultiLabelLoss::SoftmaxBest): for
+ * each sample, the first of its candidate labels whose joint
+ * probability page_prob * offset_prob is within 10% of the best
+ * candidate's, given each head's softmax probabilities.
+ * `page_labels` and `offset_labels` must hold one entry per sample.
+ */
+void pick_softmax_best(const nn::Matrix &page_probs,
+                       const nn::Matrix &offset_probs,
+                       const std::vector<std::vector<TokenLabel>> &labels,
+                       std::vector<std::int32_t> &page_labels,
+                       std::vector<std::int32_t> &offset_labels);
 
 /**
  * The LSTM inputs of an inference batch with each distinct

@@ -12,19 +12,25 @@ double
 softmax_ce_loss(const Matrix &logits,
                 const std::vector<std::int32_t> &labels, Matrix &dlogits)
 {
-    const std::size_t batch = logits.rows();
-    const std::size_t classes = logits.cols();
-    assert(labels.size() == batch);
-
     dlogits = logits;
     softmax_rows(dlogits);
+    return softmax_ce_from_probs(dlogits, labels);
+}
+
+double
+softmax_ce_from_probs(Matrix &probs,
+                      const std::vector<std::int32_t> &labels)
+{
+    const std::size_t batch = probs.rows();
+    const std::size_t classes = probs.cols();
+    assert(labels.size() == batch);
 
     double loss = 0.0;
     const float inv_batch = 1.0f / static_cast<float>(batch);
     for (std::size_t r = 0; r < batch; ++r) {
         const auto y = labels[r];
         assert(y >= 0 && static_cast<std::size_t>(y) < classes);
-        float *row = dlogits.row(r);
+        float *row = probs.row(r);
         loss -= std::log(std::max(row[y], 1e-12f));
         row[y] -= 1.0f;
         for (std::size_t c = 0; c < classes; ++c)
@@ -70,22 +76,6 @@ bce_multilabel_loss(const Matrix &logits,
         }
     }
     return loss / static_cast<double>(batch);
-}
-
-std::vector<std::int32_t>
-topk_row(const Matrix &m, std::size_t row, std::size_t k)
-{
-    const float *r = m.row(row);
-    std::vector<std::int32_t> idx(m.cols());
-    for (std::size_t c = 0; c < m.cols(); ++c)
-        idx[c] = static_cast<std::int32_t>(c);
-    const std::size_t kk = std::min(k, idx.size());
-    std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(),
-                      [r](std::int32_t a, std::int32_t b) {
-                          return r[a] > r[b];
-                      });
-    idx.resize(kk);
-    return idx;
 }
 
 }  // namespace voyager::nn

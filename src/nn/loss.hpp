@@ -24,6 +24,15 @@ double softmax_ce_loss(const Matrix &logits,
                        Matrix &dlogits);
 
 /**
+ * softmax_ce_loss from the softmax already taken: `probs` holds
+ * softmax(logits) row by row on entry and (probs - onehot) / batch on
+ * return. Bit-identical to softmax_ce_loss on the same logits.
+ * @return mean loss
+ */
+double softmax_ce_from_probs(Matrix &probs,
+                             const std::vector<std::int32_t> &labels);
+
+/**
  * Mean multi-label BCE-with-logits: every class listed in labels[r]
  * is a positive for row r, everything else a negative (paper §4.4).
  * The per-row loss is summed over classes, then averaged over rows.
@@ -36,9 +45,5 @@ double bce_multilabel_loss(const Matrix &logits,
                            const std::vector<std::vector<std::int32_t>> &
                                labels,
                            Matrix &dlogits, float pos_weight = 1.0f);
-
-/** Indices of the top-k entries of one row, descending. */
-std::vector<std::int32_t> topk_row(const Matrix &m, std::size_t row,
-                                   std::size_t k);
 
 }  // namespace voyager::nn

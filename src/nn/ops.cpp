@@ -529,14 +529,6 @@ softmax_rows(Matrix &m)
     }
 }
 
-void
-sigmoid_inplace(Matrix &m)
-{
-    float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        d[i] = 1.0f / (1.0f + std::exp(-d[i]));
-}
-
 namespace {
 
 // ---------------------------------------------------------------------
@@ -570,16 +562,16 @@ using vuint = std::uint32_t __attribute__((vector_size(64)));
  * and |r| <= ln2 / 2 (Cody-Waite: ln2 split in two so n * ln2_hi is
  * exact), e^r from a degree-7 polynomial, then a multiply by 2^n
  * built from exponent bits. Inputs are clamped so n stays in
- * [-126, 128]: below -126 ln2 the result stays at about FLT_MIN, and
- * from 127.5 ln2 up n = 128 makes 2^n and the result +inf. A NaN
- * input survives the clamp (its comparisons are false) and the final
- * multiply.
+ * [-126, 128]: below -87 the result stays at e^-87 (about 1.4 FLT_MIN,
+ * so never subnormal), and from 127.5 ln2 up n = 128 makes 2^n and
+ * the result +inf. A NaN input survives the clamp (its comparisons
+ * are false) and the final multiply.
  */
 inline void
 vexp(vfloat &x)
 {
     const vfloat hi = vfloat{} + 88.72283935546875f;  // ~ln(FLT_MAX)
-    const vfloat lo = vfloat{} - 87.33654475f;         // -126 ln2
+    const vfloat lo = vfloat{} - 87.0f;               // > -126 ln2
     x = x > hi ? hi : x;
     x = x < lo ? lo : x;
     // Adding 1.5 * 2^23 rounds x / ln2 to the integer n, which then
@@ -645,6 +637,25 @@ stage(float *blk, const float *src, std::size_t n)
     return blk;
 }
 
+/** Bit l set where lane l of `x` exceeds `t` (false for NaN). */
+inline std::uint32_t
+vbits_above(const vfloat &x, float t)
+{
+    using vint = std::int32_t __attribute__((vector_size(64)));
+    using vlong = std::int64_t __attribute__((vector_size(64)));
+    const vint pow2 = {1 << 0,  1 << 1,  1 << 2,  1 << 3,
+                       1 << 4,  1 << 5,  1 << 6,  1 << 7,
+                       1 << 8,  1 << 9,  1 << 10, 1 << 11,
+                       1 << 12, 1 << 13, 1 << 14, 1 << 15};
+    const vint bits = (x > t) & pow2;
+    const vlong pairs = (vlong)bits;
+    std::int64_t any = 0;
+    for (std::size_t l = 0; l < VL / 2; ++l)
+        any |= pairs[l];
+    return static_cast<std::uint32_t>(any) |
+           static_cast<std::uint32_t>(any >> 32);
+}
+
 }  // namespace
 
 void
@@ -660,6 +671,93 @@ tanh_inplace(Matrix &m)
         if (n < VL)
             std::copy(blk, blk + n, d + j);
     }
+}
+
+std::size_t
+softmax_topk(const float *row, std::size_t n, std::size_t k, bool sigmoid,
+             std::int32_t *idx, float *prob)
+{
+    // Top k by logit, descending, kept in prob[] until the end. A new
+    // column goes after every kept logit it does not exceed, so a tie
+    // keeps the smaller column first and never displaces it.
+    const std::size_t kept = std::min(k, n);
+    if (kept == 0)
+        return 0;
+    std::size_t size = 0;
+    const auto keep = [&](std::size_t c) {
+        const float v = row[c];
+        std::size_t pos = size < kept ? size++ : kept - 1;
+        for (; pos > 0 && v > prob[pos - 1]; --pos) {
+            prob[pos] = prob[pos - 1];
+            idx[pos] = idx[pos - 1];
+        }
+        prob[pos] = v;
+        idx[pos] = static_cast<std::int32_t>(c);
+    };
+    std::size_t c = 0;
+    for (; c < kept; ++c)
+        keep(c);
+    // Once k are kept, a column enters only above the k-th logit; a
+    // whole block below it is skipped with one vector compare.
+    for (; c + VL <= n; c += VL)
+        for (std::uint32_t bits = vbits_above(vload(row + c), prob[kept - 1]);
+             bits != 0; bits &= bits - 1) {
+            const std::size_t l = c + __builtin_ctz(bits);
+            if (row[l] > prob[kept - 1])
+                keep(l);
+        }
+    for (; c < n; ++c)
+        if (row[c] > prob[kept - 1])
+            keep(c);
+
+    if (sigmoid) {
+        for (std::size_t i = 0; i < kept; ++i)
+            prob[i] = 1.0f / (1.0f + std::exp(-prob[i]));
+        return kept;
+    }
+
+    // sum exp(l - max) over the whole row, 16 lanes at a time. The
+    // last, partial block is the VL columns ending at n, or for n < VL
+    // a zero-padded copy; either way the lanes outside its columns
+    // (summed already, or padding) are masked out of the sum.
+    const vfloat mx = vfloat{} + prob[0];
+    vfloat acc = {};
+    std::size_t j = 0;
+    for (; j + VL <= n; j += VL) {
+        vfloat e = vload(row + j) - mx;
+        vexp(e);
+        acc += e;
+    }
+    if (j < n) {
+        const vfloat lane = {0, 1, 2,  3,  4,  5,  6,  7,
+                             8, 9, 10, 11, 12, 13, 14, 15};
+        float blk[VL] = {};
+        const bool short_row = n < VL;
+        vfloat e = vload(short_row ? stage(blk, row, n) : row + n - VL) - mx;
+        vexp(e);
+        const float first = short_row ? 0.0f : static_cast<float>(j + VL - n);
+        const float end = short_row ? static_cast<float>(n) : VL;
+        acc += lane >= first && lane < end ? e : vfloat{};
+    }
+    float half[VL];
+    vref(half) = acc;
+    for (std::size_t w = VL / 2; w > 0; w /= 2)
+        for (std::size_t l = 0; l < w; ++l)
+            half[l] += half[l + w];
+    const float inv = 1.0f / half[0];
+
+    // The kept entries through the same vexp, so each probability is
+    // its summed term times 1/sum.
+    for (std::size_t i = 0; i < kept; i += VL) {
+        const std::size_t m = std::min(VL, kept - i);
+        float blk[VL] = {};
+        vfloat &e = vref(stage(blk, prob + i, m));
+        e -= mx;
+        vexp(e);
+        e *= inv;
+        std::copy(blk, blk + m, prob + i);
+    }
+    return kept;
 }
 
 void

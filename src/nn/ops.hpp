@@ -138,11 +138,30 @@ void bias_backward(const Matrix &dy, Matrix &bias_grad);
 /** Row-wise softmax in place. Numerically stabilized. */
 void softmax_rows(Matrix &m);
 
-/** Elementwise logistic sigmoid in place. */
-void sigmoid_inplace(Matrix &m);
-
 /** Elementwise tanh in place: the LSTM gate kernel's tanh. */
 void tanh_inplace(Matrix &m);
+
+/**
+ * Fused ranking head over one row of `n` logits: the top
+ * `kept = min(k, n)` columns by logit, descending, ties to the smaller
+ * column, with their probabilities. Writes `kept` column indices to
+ * `idx` and probabilities to `prob` (each room for min(k, n) values).
+ *
+ * softmax (`sigmoid == false`): prob = e^(l - max) / sum over the
+ * whole row of e^(l - max), with max the first kept logit. Every
+ * exponential is the LSTM gate kernel's vectorised exp (relative
+ * error about 1e-7, never subnormal); the sum runs 16 lanes at a time
+ * with the padding of the last, partial block masked out. Only the
+ * kept entries are normalised; no probability row is built. A NaN or
+ * +inf logit anywhere in the row makes every kept probability NaN.
+ *
+ * sigmoid (`sigmoid == true`): prob = 1 / (1 + exp(-l)) with libm's
+ * exp, on the kept logits only. Ranking by logit puts the larger
+ * logit first where the probabilities saturate to equal values.
+ * @return kept
+ */
+std::size_t softmax_topk(const float *row, std::size_t n, std::size_t k,
+                         bool sigmoid, std::int32_t *idx, float *prob);
 
 /**
  * Fused LSTM gate pass over one batch row (gate order i, f, g, o).

@@ -15,6 +15,7 @@
 
 #include "nn/matrix.hpp"
 #include "nn/ops.hpp"
+#include "reference.hpp"
 #include "util/random.hpp"
 
 namespace voyager::nn {

@@ -1,16 +1,21 @@
 /**
  * @file
  * Reference helpers that tests use as fixtures or oracles: int8
- * dequantization, row argmax, the next-load oracle and the list of
+ * dequantization, row argmax, the libm sigmoid and full-sort top-k,
+ * the materialised ranking head, the next-load oracle and the list of
  * rule-based prefetcher names.
  */
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/model.hpp"
 #include "nn/matrix.hpp"
+#include "nn/ops.hpp"
 #include "nn/qmatrix.hpp"
 #include "sim/prefetcher.hpp"
 
@@ -47,7 +52,83 @@ argmax_rows(const Matrix &m)
     return out;
 }
 
+/** Elementwise libm logistic sigmoid in place. */
+inline void
+sigmoid_inplace(Matrix &m)
+{
+    float *d = m.data();
+    for (std::size_t i = 0; i < m.size(); ++i)
+        d[i] = 1.0f / (1.0f + std::exp(-d[i]));
+}
+
+/** Indices of the top-k entries of one row, descending. */
+inline std::vector<std::int32_t>
+topk_row(const Matrix &m, std::size_t row, std::size_t k)
+{
+    const float *r = m.row(row);
+    std::vector<std::int32_t> idx(m.cols());
+    for (std::size_t c = 0; c < m.cols(); ++c)
+        idx[c] = static_cast<std::int32_t>(c);
+    const std::size_t kk = std::min(k, idx.size());
+    std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(),
+                      [r](std::int32_t a, std::int32_t b) {
+                          return r[a] > r[b];
+                      });
+    idx.resize(kk);
+    return idx;
+}
+
 }  // namespace voyager::nn
+
+namespace voyager::core {
+
+/**
+ * The materialised ranking head that core::rank_token_predictions
+ * replaced: libm softmax (or sigmoid) over every column of copies of
+ * both logit matrices, a top-k per head, and a sort of the k x k
+ * joint products. The oracle the fused head is compared with.
+ */
+inline std::vector<std::vector<TokenPrediction>>
+rank_token_predictions_ref(const nn::Matrix &page_logits,
+                           const nn::Matrix &offset_logits, bool use_bce,
+                           std::size_t k)
+{
+    nn::Matrix page_probs = page_logits;
+    nn::Matrix offset_probs = offset_logits;
+    if (use_bce) {
+        nn::sigmoid_inplace(page_probs);
+        nn::sigmoid_inplace(offset_probs);
+    } else {
+        nn::softmax_rows(page_probs);
+        nn::softmax_rows(offset_probs);
+    }
+
+    std::vector<std::vector<TokenPrediction>> out(page_probs.rows());
+    for (std::size_t b = 0; b < page_probs.rows(); ++b) {
+        const auto top_pages = nn::topk_row(page_probs, b, k);
+        const auto top_offsets = nn::topk_row(offset_probs, b, k);
+        std::vector<TokenPrediction> cands;
+        cands.reserve(top_pages.size() * top_offsets.size());
+        for (const auto p : top_pages) {
+            for (const auto o : top_offsets) {
+                cands.push_back(
+                    {p, o,
+                     page_probs.at(b, static_cast<std::size_t>(p)) *
+                         offset_probs.at(b, static_cast<std::size_t>(o))});
+            }
+        }
+        std::sort(cands.begin(), cands.end(),
+                  [](const TokenPrediction &a, const TokenPrediction &c) {
+                      return a.prob > c.prob;
+                  });
+        if (cands.size() > k)
+            cands.resize(k);
+        out[b] = std::move(cands);
+    }
+    return out;
+}
+
+}  // namespace voyager::core
 
 namespace voyager::prefetch {
 
