@@ -2,7 +2,7 @@
  * @file
  * Micro-benchmarks of the NN substrate (google-benchmark): GEMM,
  * LSTM step, a whole model predict and training step, Adam, MoE
- * attention, embedding gather, BCE loss — the kernels
+ * attention, embedding gather, the ranking head, BCE loss — the kernels
  * whose costs drive §5.4's training/inference overhead numbers.
  */
 #include <benchmark/benchmark.h>
@@ -513,6 +513,34 @@ BM_EmbeddingGather(benchmark::State &state)
 }
 BENCHMARK(BM_EmbeddingGather)->Arg(1024)->Arg(65536);
 
+// core::rank_token_predictions (the fused ranking head, DESIGN.md
+// §5.26) on Gaussian logits, CE heads: rows x page vocabulary x offset
+// vocabulary, top k. 64x276x64_k3 is the repository benchmark's
+// train_online predict batch, 8x23x64_k4 a serve_fp32 batch, and
+// 1x276x64_k3 one batch-1 prediction. items/s is rows ranked.
+void
+BM_RankTokenPredictions(benchmark::State &state, std::size_t rows,
+                        std::size_t pages, std::size_t offsets,
+                        std::size_t k)
+{
+    Rng rng(9);
+    Matrix pl(rows, pages);
+    Matrix ol(rows, offsets);
+    for (std::size_t i = 0; i < pl.size(); ++i)
+        pl.data()[i] = static_cast<float>(rng.next_gaussian());
+    for (std::size_t i = 0; i < ol.size(); ++i)
+        ol.data()[i] = static_cast<float>(rng.next_gaussian());
+    for (auto _ : state) {
+        const auto ranked = core::rank_token_predictions(pl, ol, false, k);
+        benchmark::DoNotOptimize(ranked.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rows));
+}
+BENCHMARK_CAPTURE(BM_RankTokenPredictions, 64x276x64_k3, 64, 276, 64, 3);
+BENCHMARK_CAPTURE(BM_RankTokenPredictions, 8x23x64_k4, 8, 23, 64, 4);
+BENCHMARK_CAPTURE(BM_RankTokenPredictions, 1x276x64_k3, 1, 276, 64, 3);
+
 void
 BM_BceLoss(benchmark::State &state)
 {
@@ -658,6 +686,8 @@ op_filter(const std::string &op)
         return "BM_MoeAttention";
     if (op == "embedding")
         return "BM_EmbeddingGather";
+    if (op == "rank")
+        return "BM_RankTokenPredictions";
     return op;
 }
 

@@ -70,6 +70,14 @@ train_out=$(./build/bench/bench_micro_nn --op=train \
 printf '%s\n' "$train_out" | grep -q "BM_TrainStep/64 "
 printf '%s\n' "$train_out" | grep -q "BM_AdamStep"
 
+# Ranking-head smoke (DESIGN.md section 5.26): the fused top-k head at
+# the repository benchmark's train_online and serve_fp32 shapes.
+echo "== bench_micro_nn rank smoke =="
+rank_out=$(./build/bench/bench_micro_nn --op=rank \
+    --benchmark_min_time=0.05 2>&1)
+printf '%s\n' "$rank_out" | grep -q "BM_RankTokenPredictions/64x276x64_k3"
+printf '%s\n' "$rank_out" | grep -q "BM_RankTokenPredictions/8x23x64_k4"
+
 # Simulator smoke (DESIGN.md section 5.22): whole simulations at the
 # repository benchmark's sim_rules shape, the cache probe, and the
 # rule prefetchers with tables larger than the host's caches must run.
