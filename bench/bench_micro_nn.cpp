@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "core/qmodel.hpp"
 #include "nn/adam.hpp"
 #include "nn/attention.hpp"
 #include "nn/hierarchical_softmax.hpp"
@@ -244,6 +245,27 @@ BENCHMARK(BM_GemmNnShaped<nn::gemm_nn>)
     ->Name("BM_GemmNnHeadFp32")
     ->Apply(QgemmVoyagerShapes);
 
+// The activation quantizer alone, at the int8 engine's shapes: one
+// LSTM input row of the scaled model (1x64), a batch-8 input
+// projection (8x72) and a 64-row batch (64x64). items/s is floats.
+void
+BM_QuantizeActivations(benchmark::State &state, std::size_t m,
+                       std::size_t k)
+{
+    Rng rng(15);
+    Matrix x(m, k);
+    nn::uniform_init(x, 1.0f, rng);
+    nn::QActivations qa;
+    for (auto _ : state) {
+        nn::quantize_activations(x, qa);
+        benchmark::DoNotOptimize(qa.q.data());
+    }
+    state.SetItemsProcessed(state.iterations() * m * k);
+}
+BENCHMARK_CAPTURE(BM_QuantizeActivations, 1x64, 1, 64);
+BENCHMARK_CAPTURE(BM_QuantizeActivations, 8x72, 8, 72);
+BENCHMARK_CAPTURE(BM_QuantizeActivations, 64x64, 64, 64);
+
 void
 BM_LstmForward(benchmark::State &state)
 {
@@ -349,18 +371,14 @@ draw(Rng &rng, std::int32_t bound)
         rng.next_below(static_cast<std::uint64_t>(bound)));
 }
 
-// A whole VoyagerModel::predict on the scaled model: embedding,
-// attention, projection, recurrence, heads and ranking. Batch 1 is
-// one prefetch decision; batch 8 holds one tenant's consecutive
-// windows, which share 7 of 8 timesteps with their neighbours.
-// items/s is predictions.
-void
-BM_LstmVoyagerPredict(benchmark::State &state)
+/**
+ * `batch` consecutive windows of one random tenant stream over the
+ * scaled model's vocabulary: each shares seq - 1 timesteps with its
+ * neighbour.
+ */
+core::VoyagerBatch
+scaled_predict_batch(const core::VoyagerConfig &cfg, std::size_t batch)
 {
-    const auto batch = static_cast<std::size_t>(state.range(0));
-    const core::VoyagerConfig cfg = scaled_voyager_config();
-    core::VoyagerModel model(cfg, kScaledPcs, kScaledPages,
-                             kScaledOffsets);
     Rng rng(16);
     std::vector<std::int32_t> pc(batch + cfg.seq_len);
     std::vector<std::int32_t> page(pc.size());
@@ -380,6 +398,22 @@ BM_LstmVoyagerPredict(benchmark::State &state)
             b.offset.push_back(offset[s + t]);
         }
     }
+    return b;
+}
+
+// A whole VoyagerModel::predict on the scaled model: embedding,
+// attention, projection, recurrence, heads and ranking. Batch 1 is
+// one prefetch decision; batch 8 holds one tenant's consecutive
+// windows, which share 7 of 8 timesteps with their neighbours.
+// items/s is predictions.
+void
+BM_LstmVoyagerPredict(benchmark::State &state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    const core::VoyagerConfig cfg = scaled_voyager_config();
+    core::VoyagerModel model(cfg, kScaledPcs, kScaledPages,
+                             kScaledOffsets);
+    const core::VoyagerBatch b = scaled_predict_batch(cfg, batch);
     for (auto _ : state) {
         const auto preds = model.predict(b, 3);
         benchmark::DoNotOptimize(preds.data());
@@ -387,6 +421,26 @@ BM_LstmVoyagerPredict(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_LstmVoyagerPredict)->Arg(1)->Arg(8);
+
+// BM_LstmVoyagerPredict on the int8 engine: the same model and
+// batches through QuantizedVoyagerModel::predict, the distilled
+// rung's fallback.
+void
+BM_QuantizedPredict(benchmark::State &state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    const core::VoyagerConfig cfg = scaled_voyager_config();
+    const core::VoyagerModel model(cfg, kScaledPcs, kScaledPages,
+                                   kScaledOffsets);
+    core::QuantizedVoyagerModel qmodel(model);
+    const core::VoyagerBatch b = scaled_predict_batch(cfg, batch);
+    for (auto _ : state) {
+        const auto preds = qmodel.predict(b, 3);
+        benchmark::DoNotOptimize(preds.data());
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_QuantizedPredict)->Arg(1)->Arg(8);
 
 // One VoyagerModel::train_step on the scaled model at the repository
 // benchmark's train_online settings (learning rate 3e-2, dropout
@@ -675,7 +729,8 @@ std::string
 op_filter(const std::string &op)
 {
     if (op == "qgemm")
-        return "BM_Qgemm|BM_GemmNnHeadFp32";
+        return "BM_Qgemm|BM_GemmNnHeadFp32|BM_QuantizeActivations|"
+               "BM_QuantizedPredict";
     if (op == "gemm")
         return "BM_Gemm";
     if (op == "lstm")

@@ -27,10 +27,14 @@ QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
     // in fp32.
     const BatchInputs &in = assemble_inputs(
         batch, cfg_, pc_emb_, page_emb_, offset_emb_, attn_);
+    // Both LSTMs project the same rows: quantize them once.
+    static thread_local nn::QActivations qx;
+    static thread_local nn::QActivations qr;
     static thread_local Matrix proj;
-    page_lstm_.project_inputs(in.x, proj);
+    nn::quantize_with_residual(in.x, qx, qr);
+    page_lstm_.project_inputs(qx, qr, proj);
     page_lstm_.forward(proj, in.steps, h_page_);
-    offset_lstm_.project_inputs(in.x, proj);
+    offset_lstm_.project_inputs(qx, qr, proj);
     offset_lstm_.forward(proj, in.steps, h_offset_);
     page_head_.forward(h_page_, page_logits_);
     offset_head_.forward(h_offset_, offset_logits_);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace voyager::nn {
 
@@ -556,6 +557,8 @@ vref(float *p)
 }
 
 using vuint = std::uint32_t __attribute__((vector_size(64)));
+/** Lane mask of a vfloat comparison: -1 where true, 0 where false. */
+using vint = std::int32_t __attribute__((vector_size(64)));
 
 /**
  * e^x in place (Cephes expf): x = n ln2 + r with n = round(x / ln2)
@@ -641,7 +644,6 @@ stage(float *blk, const float *src, std::size_t n)
 inline std::uint32_t
 vbits_above(const vfloat &x, float t)
 {
-    using vint = std::int32_t __attribute__((vector_size(64)));
     using vlong = std::int64_t __attribute__((vector_size(64)));
     const vint pow2 = {1 << 0,  1 << 1,  1 << 2,  1 << 3,
                        1 << 4,  1 << 5,  1 << 6,  1 << 7,
@@ -694,21 +696,40 @@ softmax_topk(const float *row, std::size_t n, std::size_t k, bool sigmoid,
         prob[pos] = v;
         idx[pos] = static_cast<std::int32_t>(c);
     };
+    // The scan also checks every column for NaN or +inf: either one
+    // makes the whole row NaN in both head kinds, so the serve
+    // ladder sees a poisoned forward whichever loss trained it.
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    bool poisoned = false;
     std::size_t c = 0;
-    for (; c < kept; ++c)
+    for (; c < kept; ++c) {
+        poisoned |= !(row[c] < inf);
         keep(c);
+    }
     // Once k are kept, a column enters only above the k-th logit; a
     // whole block below it is skipped with one vector compare.
-    for (; c + VL <= n; c += VL)
-        for (std::uint32_t bits = vbits_above(vload(row + c), prob[kept - 1]);
+    vint below_inf = vint{} - 1;
+    for (; c + VL <= n; c += VL) {
+        const vfloat &x = vload(row + c);
+        below_inf &= x < inf;
+        for (std::uint32_t bits = vbits_above(x, prob[kept - 1]);
              bits != 0; bits &= bits - 1) {
             const std::size_t l = c + __builtin_ctz(bits);
             if (row[l] > prob[kept - 1])
                 keep(l);
         }
-    for (; c < n; ++c)
+    }
+    for (; c < n; ++c) {
+        poisoned |= !(row[c] < inf);
         if (row[c] > prob[kept - 1])
             keep(c);
+    }
+    for (std::size_t l = 0; l < VL; ++l)
+        poisoned |= below_inf[l] == 0;
+    if (poisoned) {
+        std::fill(prob, prob + kept, std::numeric_limits<float>::quiet_NaN());
+        return kept;
+    }
 
     if (sigmoid) {
         for (std::size_t i = 0; i < kept; ++i)

@@ -152,12 +152,14 @@ void tanh_inplace(Matrix &m);
  * exponential is the LSTM gate kernel's vectorised exp (relative
  * error about 1e-7, never subnormal); the sum runs 16 lanes at a time
  * with the padding of the last, partial block masked out. Only the
- * kept entries are normalised; no probability row is built. A NaN or
- * +inf logit anywhere in the row makes every kept probability NaN.
+ * kept entries are normalised; no probability row is built.
  *
  * sigmoid (`sigmoid == true`): prob = 1 / (1 + exp(-l)) with libm's
  * exp, on the kept logits only. Ranking by logit puts the larger
  * logit first where the probabilities saturate to equal values.
+ *
+ * In both, a NaN or +inf logit anywhere in the row makes every kept
+ * probability NaN.
  * @return kept
  */
 std::size_t softmax_topk(const float *row, std::size_t n, std::size_t k,

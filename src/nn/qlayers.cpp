@@ -86,10 +86,22 @@ QuantizedLstm::QuantizedLstm(const Lstm &src)
 }
 
 void
-QuantizedLstm::project_inputs(const Matrix &x, Matrix &proj)
+quantize_with_residual(const Matrix &x, QActivations &qx,
+                       QActivations &qr)
 {
-    assert(x.cols() == in_dim());
-    proj.resize(x.rows(), 4 * hidden());  // zero-fills: qgemm accumulates
+    static thread_local Matrix r;
+    quantize_activations(x, qx);
+    quant_residual(x, qx, r);
+    quantize_activations(r, qr);
+}
+
+void
+QuantizedLstm::project_inputs(const QActivations &qx,
+                              const QActivations &qr, Matrix &proj) const
+{
+    assert(qx.cols == in_dim() && qr.cols == in_dim());
+    assert(qr.rows == qx.rows);
+    proj.resize(qx.rows, 4 * hidden());  // zero-fills: qgemm accumulates
     // The x * Wx GEMM runs twice int8: the quantized input, then its
     // error-feedback residual on a ~255x finer grid. The LSTM's x
     // rows concatenate embeddings with heterogeneous magnitudes, so
@@ -98,11 +110,8 @@ QuantizedLstm::project_inputs(const Matrix &x, Matrix &proj)
     // the int8 kernels. h rows are homogeneous bounded tanh outputs;
     // a single pass suffices there (verified by the agreement test,
     // which is insensitive to Wh quantization error).
-    quantize_activations(x, qx_);
-    qgemm_nt(qx_, wxq_, proj);
-    quant_residual(x, qx_, r_);
-    quantize_activations(r_, qr_);
-    qgemm_nt(qr_, wxq_, proj);
+    qgemm_nt(qx, wxq_, proj);
+    qgemm_nt(qr, wxq_, proj);
 }
 
 void

@@ -66,6 +66,17 @@ class QuantizedLinear
 };
 
 /**
+ * Quantize the rows an int8 LSTM projects: qx = quant(x), then
+ * qr = quant(x - dequant(qx)), the error-feedback residual on its own
+ * per-row grid (~255x finer than the row's). Row-local, like
+ * quantize_activations. A model whose LSTMs project the same rows
+ * calls this once and hands the pair to each
+ * QuantizedLstm::project_inputs.
+ */
+void quantize_with_residual(const Matrix &x, QActivations &qx,
+                            QActivations &qr);
+
+/**
  * Int8 LSTM: both gate GEMMs (x * Wx and h * Wh) run int8 with the
  * inputs quantized dynamically per row. The x * Wx projection runs
  * once per distinct input row, outside the recurrence, and adds an
@@ -85,11 +96,12 @@ class QuantizedLstm
 
     /**
      * proj(rows, 4H) = int8 x Wx for distinct input rows x (rows,
-     * in_dim): the quantized pass, then the residual pass, into a
-     * zeroed buffer. Per-row exact: quantization and qgemm_nt are
-     * both row-local.
+     * in_dim), given as quantize_with_residual(x, qx, qr): the
+     * quantized pass, then the residual pass, into a zeroed buffer.
+     * Per-row exact: quantization and qgemm_nt are both row-local.
      */
-    void project_inputs(const Matrix &x, Matrix &proj);
+    void project_inputs(const QActivations &qx, const QActivations &qr,
+                        Matrix &proj) const;
 
     /**
      * Run the sequence from zero state over projected inputs (see
@@ -116,10 +128,7 @@ class QuantizedLstm
     QMatrix wxq_;  ///< (4H, in)
     QMatrix whq_;  ///< (4H, H)
     Matrix bias_;  ///< (1, 4H) fp32
-    QActivations qx_;
     QActivations qh_;
-    QActivations qr_;  ///< quantized error-feedback residual
-    Matrix r_;       ///< fp32 residual of the last quantization
     Matrix z_;       ///< (B, 4H) gate pre-activations
     Matrix h_prev_;  ///< (B, H)
     Matrix c_prev_;  ///< (B, H)

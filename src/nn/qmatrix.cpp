@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace voyager::nn {
 
@@ -9,6 +11,37 @@ namespace {
 
 constexpr std::size_t QNR = 16;  ///< output channels per VNNI tile
 constexpr std::size_t QKG = 4;   ///< k values per VNNI dot group
+
+/**
+ * The target's widest float vector: 16 lanes with AVX-512, 8 with
+ * AVX, 4 with SSE. A GCC vector wider than the hardware's is split
+ * into spills and scalar selects, so the lane count follows the
+ * target rather than being fixed.
+ */
+#if defined(__AVX512F__)
+constexpr std::size_t VL = 16;
+#elif defined(__AVX__)
+constexpr std::size_t VL = 8;
+#else
+constexpr std::size_t VL = 4;
+#endif
+/** VL floats; aligned(4) legalises unaligned loads. */
+using vfloat = float
+    __attribute__((vector_size(VL * sizeof(float)), aligned(4), may_alias));
+/** Lane mask of a vfloat comparison: -1 where true, 0 where false. */
+using vint = std::int32_t __attribute__((vector_size(VL * sizeof(float))));
+
+/**
+ * Shuffle mask of one butterfly step of a fold across the lanes: lane
+ * l takes lane l ^ w. Steps w = VL/2, ..., 1 leave every lane holding
+ * the fold of all VL. Constant once the caller's loop over w unrolls.
+ */
+template <std::size_t... L>
+constexpr vint
+butterfly(std::size_t w, std::index_sequence<L...>)
+{
+    return vint{static_cast<std::int32_t>(L ^ w)...};
+}
 
 }  // namespace
 
@@ -30,12 +63,43 @@ quantize_activations(const Matrix &x, QActivations &out)
         // point is exactly representable (padding bytes = za would
         // otherwise inject phantom values; padding with qa that
         // dequantizes to 0 is wrong too unless 0 is on the grid — so
-        // put it on the grid).
-        float lo = 0.0f;
-        float hi = 0.0f;
-        for (std::size_t j = 0; j < k; ++j) {
-            lo = std::min(lo, src[j]);
-            hi = std::max(hi, src[j]);
+        // put it on the grid). VL running minima and maxima, then a
+        // butterfly fold across the lanes, give the serial scan's bits:
+        // min and max are exact in any order, the select never picks
+        // a NaN, and every lane starts at +0.0, which no later value
+        // replaces with -0.0. A NaN is flagged on the side.
+        vfloat vlo = {};
+        vfloat vhi = {};
+        vint vnan = {};
+        std::size_t c = 0;
+        for (; c + VL <= k; c += VL) {
+            const vfloat v = *reinterpret_cast<const vfloat *>(src + c);
+            vlo = v < vlo ? v : vlo;
+            vhi = v > vhi ? v : vhi;
+            vnan |= v != v;
+        }
+        for (std::size_t w = VL / 2; w > 0; w /= 2) {
+            const vint swap = butterfly(w, std::make_index_sequence<VL>{});
+            const vfloat lo2 = __builtin_shuffle(vlo, swap);
+            const vfloat hi2 = __builtin_shuffle(vhi, swap);
+            vlo = lo2 < vlo ? lo2 : vlo;
+            vhi = hi2 > vhi ? hi2 : vhi;
+            vnan |= __builtin_shuffle(vnan, swap);
+        }
+        float lo = vlo[0];
+        float hi = vhi[0];
+        bool has_nan = vnan[0] != 0;
+        for (; c < k; ++c) {
+            lo = std::min(lo, src[c]);
+            hi = std::max(hi, src[c]);
+            has_nan |= src[c] != src[c];
+        }
+        if (has_nan || std::isinf(lo) || std::isinf(hi)) {
+            // No grid holds a NaN or an infinity. A NaN scale makes
+            // every output this row feeds non-finite, as fp32 would,
+            // and its bytes stay 0: no NaN meets the float->u8 cast.
+            out.scales[r] = std::numeric_limits<float>::quiet_NaN();
+            continue;
         }
         if (hi == lo)  // all-zero row: scale 1, zp 0, q already 0
             continue;

@@ -60,7 +60,9 @@ struct QActivations
 /**
  * Dynamically quantize `x` to u8 with one affine scale/zero-point per
  * row. Each row's range is forced to include 0 so its zero point is
- * exact (padding lanes then contribute nothing to qgemm). Buffers in
+ * exact (padding lanes then contribute nothing to qgemm). A row
+ * holding a NaN or an infinity gets a NaN scale, zero point 0 and
+ * all-zero bytes, so every qgemm output it feeds is NaN. Buffers in
  * `out` are reused across calls.
  */
 void quantize_activations(const Matrix &x, QActivations &out);

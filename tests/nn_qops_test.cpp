@@ -1,15 +1,22 @@
 /**
  * @file
  * Int8 kernel tests (DESIGN.md §5.13): TensorStorage ceil-div
- * accounting, activation/weight quantization invariants, QMatrix
- * round trips, and qgemm-vs-reference-vs-fp32 equivalence at odd
- * shapes — including int32 accumulation at saturating magnitudes
- * near the asserted k bound (run under ASan/UBSan by the CI gates).
+ * accounting, activation/weight quantization invariants, the
+ * vectorised activation quantizer byte for byte against the scalar
+ * oracle (reference.hpp) on every row length to 100 and on
+ * non-finite, signed-zero and extreme rows, QMatrix round trips, and
+ * qgemm-vs-reference-vs-fp32 equivalence at odd shapes — including
+ * int32 accumulation at saturating magnitudes near the asserted k
+ * bound (run under ASan/UBSan by the CI gates) and a non-finite
+ * activation row poisoning only its own outputs.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -95,6 +102,131 @@ TEST(QuantizeActivationsTest, ZeroIsOnTheGridAndErrorBounded)
         EXPECT_EQ(qa.zero_point(r), 0);
     for (std::size_t i = 0; i < qa.q.size(); ++i)
         EXPECT_EQ(qa.q[i], 0);
+}
+
+/** got and want hold the same bytes, scales (bit for bit) and zps. */
+void
+expect_same_qactivations(const QActivations &got, const QActivations &want,
+                         const std::string &what)
+{
+    ASSERT_EQ(got.rows, want.rows) << what;
+    ASSERT_EQ(got.cols, want.cols) << what;
+    ASSERT_EQ(got.stride, want.stride) << what;
+    EXPECT_EQ(got.q, want.q) << what;
+    ASSERT_EQ(got.scales.size(), want.scales.size()) << what;
+    EXPECT_EQ(std::memcmp(got.scales.data(), want.scales.data(),
+                          got.scales.size() * sizeof(float)),
+              0)
+        << what;
+    EXPECT_EQ(got.zero_points, want.zero_points) << what;
+}
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr std::size_t kRowKinds = 13;
+
+/**
+ * Fill one row of length k with row kind `kind` (< kRowKinds): random
+ * signs, all positive, all negative, all +0.0, all -0.0, one non-zero
+ * value, -0.0 among positives, 1e30 magnitudes, one NaN, one +inf,
+ * one -inf, the extreme in the last column, and a NaN in the last
+ * column. Magnitudes span 1e-3 to 1e3 across rows.
+ */
+void
+fill_row(float *row, std::size_t k, std::size_t kind, Rng &rng)
+{
+    const double mag = std::pow(10.0, 6.0 * rng.next_double() - 3.0);
+    const auto draw = [&](double lo, double hi) {
+        return static_cast<float>((lo + (hi - lo) * rng.next_double()) *
+                                  mag);
+    };
+    const std::size_t at = rng.next_below(k);
+    for (std::size_t j = 0; j < k; ++j)
+        row[j] = kind == 1 ? draw(0.0, 1.0) : kind == 2 ? draw(-1.0, 0.0)
+                                                        : draw(-1.0, 1.0);
+    switch (kind) {
+    case 3:
+    case 4:
+    case 5:
+        for (std::size_t j = 0; j < k; ++j)
+            row[j] = kind == 4 ? -0.0f : 0.0f;
+        if (kind == 5)
+            row[at] = draw(-1.0, 1.0);
+        break;
+    case 6:
+        for (std::size_t j = 0; j < k; ++j)
+            row[j] = j % 3 == 0 ? -0.0f : std::fabs(row[j]);
+        break;
+    case 7:
+        for (std::size_t j = 0; j < k; ++j)
+            row[j] *= 1e30f / static_cast<float>(mag);
+        break;
+    case 8:
+        row[at] = kNaN;
+        break;
+    case 9:
+        row[at] = kInf;
+        break;
+    case 10:
+        row[at] = -kInf;
+        break;
+    case 11:
+        row[k - 1] = draw(-4.0, -2.0);
+        break;
+    case 12:
+        row[k - 1] = kNaN;
+        break;
+    default:
+        break;
+    }
+}
+
+TEST(QuantizeActivationsTest, MatchesScalarOracleByteForByte)
+{
+    // Every row length to 100 covers whole vectors, the scalar tail
+    // and rows shorter than one vector; row r of a k-column matrix is
+    // kind (r + k) % kRowKinds, so the 65-row matrices hold every kind
+    // at every length.
+    Rng rng(23);
+    QActivations got;
+    QActivations want;
+    for (std::size_t k = 1; k <= 100; ++k) {
+        for (const std::size_t m : {1u, 2u, 3u, 16u, 65u}) {
+            Matrix x(m, k);
+            for (std::size_t r = 0; r < m; ++r)
+                fill_row(x.row(r), k, (r + k) % kRowKinds, rng);
+            quantize_activations(x, got);
+            quantize_activations_ref(x, want);
+            expect_same_qactivations(
+                got, want,
+                "k=" + std::to_string(k) + " m=" + std::to_string(m));
+        }
+    }
+}
+
+TEST(QuantizeActivationsTest, NonFiniteRowGetsNaNScaleAndZeroBytes)
+{
+    const Matrix clean = random_matrix(5, 37, 2.0f, 24);
+    Matrix x = clean;
+    x.at(1, 20) = kNaN;
+    x.at(3, 36) = -kInf;
+    x.at(4, 0) = kInf;
+    QActivations qa;
+    QActivations qc;
+    quantize_activations(x, qa);
+    quantize_activations(clean, qc);
+    for (std::size_t r = 0; r < 5; ++r) {
+        const bool bad = r == 1 || r == 3 || r == 4;
+        EXPECT_EQ(std::isnan(qa.scale(r)), bad) << "row " << r;
+        if (!bad) {
+            EXPECT_EQ(qa.scale(r), qc.scale(r)) << "row " << r;
+        }
+        EXPECT_EQ(qa.zero_point(r), bad ? 0 : qc.zero_point(r))
+            << "row " << r;
+        for (std::size_t c = 0; c < qa.stride; ++c)
+            EXPECT_EQ(qa.row(r)[c], bad ? 0 : qc.row(r)[c])
+                << "row " << r << " col " << c;
+    }
 }
 
 TEST(QMatrixTest, RoundTripAndIdempotentRequantize)
@@ -272,6 +404,47 @@ TEST(QgemmTest, Int32AccumulationSurvivesSaturatingMagnitudes)
                                   ((j % 2 == 0) ? 1.0 : -1.0);
             EXPECT_NEAR(c_kernel.at(i, j), expect,
                         std::fabs(expect) * 1e-5);
+        }
+    }
+}
+
+TEST(QgemmTest, NonFiniteActivationRowPoisonsOnlyItsOutputs)
+{
+    // fp32 gives a non-finite output wherever a NaN or inf input
+    // meets a weight; int8 must not turn such a row finite. Every
+    // row position of 1-9 rows covers the 4-row tiles and their
+    // remainders, and 37 channels a ragged 16-channel edge.
+    const Matrix w = random_matrix(37, 21, 1.0f, 25);
+    const QMatrix qw = QMatrix::quantize(w, /*transpose=*/false);
+    qw.pack();
+    QActivations qa;
+    for (std::size_t m = 1; m <= 9; ++m) {
+        const Matrix clean = random_matrix(m, 21, 1.5f, 26 + m);
+        Matrix want(m, 37);
+        quantize_activations(clean, qa);
+        qgemm_nt(qa, qw, want);
+        for (std::size_t b = 0; b < m; ++b) {
+            for (const float bad : {kNaN, kInf, -kInf}) {
+                Matrix x = clean;
+                x.at(b, (b * 5) % 21) = bad;
+                Matrix got(m, 37);
+                quantize_activations(x, qa);
+                qgemm_nt(qa, qw, got);
+                for (std::size_t i = 0; i < m; ++i) {
+                    for (std::size_t j = 0; j < 37; ++j) {
+                        if (i == b) {
+                            EXPECT_FALSE(std::isfinite(got.at(i, j)))
+                                << "m=" << m << " row " << i << " ch " << j;
+                        } else {
+                            EXPECT_EQ(std::memcmp(&got.at(i, j),
+                                                  &want.at(i, j),
+                                                  sizeof(float)),
+                                      0)
+                                << "m=" << m << " row " << i << " ch " << j;
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -1,9 +1,12 @@
 /**
  * @file
  * Int8 inference engine tests (DESIGN.md §5.13): quantized layers
- * track their fp32 counterparts, and an end-to-end check that a
- * QuantizedVoyagerModel built from a compressed trained model agrees
- * with the quantize-dequantize fp32 path on >= 99% of top-1
+ * track their fp32 counterparts, a NaN input row stays non-finite
+ * through a layer and a whole model without touching other rows,
+ * QuantizedVoyagerModel::predict matches the per-LSTM quantize-and-
+ * project oracle (reference.hpp) bit for bit, and an end-to-end check
+ * that a QuantizedVoyagerModel built from a compressed trained model
+ * agrees with the quantize-dequantize fp32 path on >= 99% of top-1
  * predictions — the §5.4 claim, measured on the path that actually
  * executes int8.
  */
@@ -12,6 +15,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <iostream>
 #include <vector>
 
@@ -19,6 +24,7 @@
 #include "core/qmodel.hpp"
 #include "core/trainer.hpp"
 #include "nn/qlayers.hpp"
+#include "reference.hpp"
 #include "sim/simulator.hpp"
 #include "trace/gen/workloads.hpp"
 
@@ -123,13 +129,171 @@ TEST(QuantizedLayers, LstmTracksFp32)
     Matrix h_fp;
     Matrix h_q;
     Matrix proj;
+    nn::QActivations qx;
+    nn::QActivations qr;
     lstm.forward(xs, h_fp);
-    qlstm.project_inputs(x, proj);
+    nn::quantize_with_residual(x, qx, qr);
+    qlstm.project_inputs(qx, qr, proj);
     qlstm.forward(proj, rows, h_q);
     ASSERT_EQ(h_q.rows(), 6u);
     ASSERT_EQ(h_q.cols(), 24u);
     for (std::size_t i = 0; i < h_fp.size(); ++i)
         EXPECT_NEAR(h_q.data()[i], h_fp.data()[i], 0.05f);
+}
+
+TEST(QuantizedLayers, LinearNaNRowIsNonFiniteLikeFp32)
+{
+    Rng rng(35);
+    const nn::Linear linear(24, 32, rng);
+    nn::QuantizedLinear qlinear(linear);
+    const Matrix clean = random_matrix(4, 24, 1.0f, 36);
+    Matrix x = clean;
+    x.at(2, 7) = std::numeric_limits<float>::quiet_NaN();
+    Matrix y_fp;
+    Matrix y_clean;
+    Matrix y_q;
+    nn::Linear(linear).forward(x, y_fp);
+    qlinear.forward(clean, y_clean);
+    qlinear.forward(x, y_q);
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::size_t j = 0; j < 32; ++j) {
+            EXPECT_EQ(std::isfinite(y_fp.at(i, j)), i != 2);
+            if (i == 2) {
+                EXPECT_FALSE(std::isfinite(y_q.at(i, j))) << "ch " << j;
+            } else {
+                EXPECT_EQ(std::memcmp(&y_q.at(i, j), &y_clean.at(i, j),
+                                      sizeof(float)),
+                          0)
+                    << "row " << i << " ch " << j;
+            }
+        }
+    }
+}
+
+constexpr std::int32_t kPcs = 9;
+constexpr std::int32_t kPages = 23;
+constexpr std::int32_t kOffsets = 17;
+
+/**
+ * `batch` windows over one tenant's stream, each shifted one token
+ * from the last, and every third a repeat of the one before, over a
+ * small vocabulary so tokens also repeat inside a window.
+ */
+core::VoyagerBatch
+shifted_windows(std::size_t seq, std::size_t batch)
+{
+    core::VoyagerBatch b;
+    b.batch = batch;
+    b.seq = seq;
+    std::size_t start = 0;
+    for (std::size_t s = 0; s < batch; ++s) {
+        start += s % 3 == 2 ? 0 : 1;
+        for (std::size_t t = start; t < start + seq; ++t) {
+            const auto i = static_cast<std::int32_t>(t);
+            b.pc.push_back(1 + i % 4);
+            b.page.push_back((i * 7) % 11);
+            b.offset.push_back((i * 5) % kOffsets);
+        }
+    }
+    return b;
+}
+
+/**
+ * The int8 forward built from its parts, with each LSTM quantizing
+ * and projecting the shared inputs itself (project_inputs_ref).
+ */
+std::vector<std::vector<core::TokenPrediction>>
+int8_predict_ref(const core::VoyagerModel &model,
+                 const core::VoyagerBatch &batch, std::size_t k)
+{
+    const core::VoyagerConfig &cfg = model.config();
+    const nn::QuantizedEmbedding pc(model.pc_embedding());
+    const nn::QuantizedEmbedding page(model.page_embedding());
+    const nn::QuantizedEmbedding offset(model.offset_embedding());
+    const nn::MoeAttention attn(cfg.num_experts, cfg.attention_scale);
+    const core::BatchInputs &in =
+        core::assemble_inputs(batch, cfg, pc, page, offset, attn);
+    Matrix logits[2];
+    for (const bool is_page : {true, false}) {
+        nn::QuantizedLstm lstm(is_page ? model.page_lstm()
+                                       : model.offset_lstm());
+        Matrix proj;
+        Matrix h;
+        nn::project_inputs_ref(lstm, in.x, proj);
+        lstm.forward(proj, in.steps, h);
+        nn::QuantizedLinear head(is_page ? model.page_head()
+                                         : model.offset_head());
+        head.forward(h, logits[is_page ? 0 : 1]);
+    }
+    return core::rank_token_predictions(logits[0], logits[1],
+                                        cfg.use_bce(), k);
+}
+
+void
+expect_same_bits(const std::vector<std::vector<core::TokenPrediction>> &got,
+                 const std::vector<std::vector<core::TokenPrediction>> &want,
+                 std::size_t skip_row = static_cast<std::size_t>(-1))
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < got.size(); ++b) {
+        if (b == skip_row)
+            continue;
+        ASSERT_EQ(got[b].size(), want[b].size()) << "row " << b;
+        for (std::size_t i = 0; i < got[b].size(); ++i) {
+            EXPECT_EQ(got[b][i].page, want[b][i].page) << "row " << b;
+            EXPECT_EQ(got[b][i].offset, want[b][i].offset) << "row " << b;
+            EXPECT_EQ(std::memcmp(&got[b][i].prob, &want[b][i].prob,
+                                  sizeof(float)),
+                      0)
+                << "row " << b << " rank " << i;
+        }
+    }
+}
+
+TEST(QuantizedModel, PredictMatchesPerLstmOracleBitForBit)
+{
+    for (const bool use_pc : {true, false}) {
+        core::VoyagerConfig cfg = small_voyager();
+        cfg.use_pc_feature = use_pc;
+        const core::VoyagerModel model(cfg, kPcs, kPages, kOffsets);
+        QuantizedVoyagerModel qmodel(model);
+        for (const std::size_t batch : {1u, 2u, 3u, 5u, 8u, 13u}) {
+            SCOPED_TRACE(testing::Message() << "use_pc " << use_pc
+                                            << " batch " << batch);
+            const core::VoyagerBatch b =
+                shifted_windows(cfg.seq_len, batch);
+            const auto want = int8_predict_ref(model, b, 5);
+            expect_same_bits(qmodel.predict(b, 5), want);
+        }
+    }
+}
+
+TEST(QuantizedModel, NonFiniteInputRowPoisonsOnlyItsPredictions)
+{
+    // An inf weight in pc token 7's embedding row dequantizes that
+    // row to NaN (scale inf times byte 0), so every LSTM input row
+    // built from pc 7 holds NaN. Only window 2 uses pc 7: its
+    // predictions must all be non-finite, and every other window's
+    // must match the clean model's bit for bit.
+    const core::VoyagerConfig cfg = small_voyager();
+    core::VoyagerModel model(cfg, kPcs, kPages, kOffsets);
+    QuantizedVoyagerModel clean(model);
+    model.pc_embedding().param().value.at(7, 3) =
+        std::numeric_limits<float>::infinity();
+    QuantizedVoyagerModel poisoned(model);
+    Matrix row;
+    nn::QuantizedEmbedding(model.pc_embedding()).forward({7}, row);
+    for (std::size_t j = 0; j < row.cols(); ++j)
+        ASSERT_TRUE(std::isnan(row.at(0, j))) << "col " << j;
+
+    core::VoyagerBatch b = shifted_windows(cfg.seq_len, 5);
+    b.pc[2 * cfg.seq_len + 4] = 7;
+    const auto got = poisoned.predict(b, 4);
+    ASSERT_EQ(got.size(), 5u);
+    ASSERT_FALSE(got[2].empty());
+    for (const core::TokenPrediction &p : got[2])
+        EXPECT_FALSE(std::isfinite(p.prob));
+    expect_same_bits(got, clean.predict(b, 4), /*skip_row=*/2);
 }
 
 TEST(QuantizedModel, Int8PredictTopOneAgreesWithFp32)

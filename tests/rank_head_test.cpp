@@ -151,11 +151,14 @@ TEST(SoftmaxTopk, ExponentialsAreNeverSubnormal)
     }
 }
 
-TEST(SoftmaxTopk, NonFiniteLogitPoisonsTheSoftmaxRow)
+/**
+ * The serve ladder falls through to the next engine on a non-finite
+ * probability, so one NaN or +inf logit anywhere in a row, kept or
+ * not, must reach every kept probability of either head kind.
+ */
+void
+expect_non_finite_logit_poisons_row(bool sigmoid)
 {
-    // The serve ladder falls through to the next engine on a
-    // non-finite probability, so one NaN or +inf logit anywhere in a
-    // row must reach every kept probability.
     for (const std::size_t n : {1u, 3u, 16u, 17u, 40u, 276u}) {
         for (const float bad : {kNaN, kInf}) {
             for (std::size_t c = 0; c < n; ++c) {
@@ -164,7 +167,7 @@ TEST(SoftmaxTopk, NonFiniteLogitPoisonsTheSoftmaxRow)
                     row[i] = static_cast<float>(i % 7) - 3.0f;
                 row[c] = bad;
                 for (const std::size_t k : {1u, 3u}) {
-                    const Kept kept = head(row, k, false);
+                    const Kept kept = head(row, k, sigmoid);
                     for (const float p : kept.prob)
                         ASSERT_FALSE(std::isfinite(p))
                             << "n=" << n << " col " << c << " k=" << k;
@@ -172,6 +175,16 @@ TEST(SoftmaxTopk, NonFiniteLogitPoisonsTheSoftmaxRow)
             }
         }
     }
+}
+
+TEST(SoftmaxTopk, NonFiniteLogitPoisonsTheSoftmaxRow)
+{
+    expect_non_finite_logit_poisons_row(false);
+}
+
+TEST(SoftmaxTopk, NonFiniteLogitPoisonsTheSigmoidRow)
+{
+    expect_non_finite_logit_poisons_row(true);
 }
 
 TEST(SoftmaxTopk, SigmoidIsLibmBitForBitAndSaturatedTiesRankLargerLogit)
@@ -222,12 +235,15 @@ TEST(RankHead, NonFiniteLogitPoisonsOnlyItsRow)
     Matrix offsets = uniform_logits(3, 64, 4.0f, rng);
     pages.at(1, 19) = kNaN;
     offsets.at(2, 63) = kInf;
-    const auto ranked =
-        core::rank_token_predictions(pages, offsets, false, 4);
-    for (std::size_t b = 0; b < 3; ++b) {
-        ASSERT_EQ(ranked[b].size(), 4u);
-        for (const TokenPrediction &p : ranked[b])
-            EXPECT_EQ(std::isfinite(p.prob), b == 0) << "row " << b;
+    for (const bool bce : {false, true}) {
+        const auto ranked =
+            core::rank_token_predictions(pages, offsets, bce, 4);
+        for (std::size_t b = 0; b < 3; ++b) {
+            ASSERT_EQ(ranked[b].size(), 4u);
+            for (const TokenPrediction &p : ranked[b])
+                EXPECT_EQ(std::isfinite(p.prob), b == 0)
+                    << (bce ? "bce" : "ce") << " row " << b;
+        }
     }
 }
 

@@ -1,22 +1,26 @@
 /**
  * @file
  * Reference helpers that tests use as fixtures or oracles: int8
- * dequantization, row argmax, the libm sigmoid and full-sort top-k,
- * the materialised ranking head, the next-load oracle and the list of
- * rule-based prefetcher names.
+ * dequantization, the scalar activation quantizer and the per-LSTM
+ * int8 input projection, row argmax, the libm sigmoid and full-sort
+ * top-k, the materialised ranking head, the next-load oracle and the
+ * list of rule-based prefetcher names.
  */
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/model.hpp"
 #include "nn/matrix.hpp"
 #include "nn/ops.hpp"
+#include "nn/qlayers.hpp"
 #include "nn/qmatrix.hpp"
+#include "nn/qops.hpp"
 #include "sim/prefetcher.hpp"
 
 namespace voyager::nn {
@@ -34,6 +38,83 @@ dequantize(const QMatrix &q)
             dst[c] = static_cast<float>(src[c]) * s;
     }
     return out;
+}
+
+/**
+ * The serial activation quantizer that nn::quantize_activations
+ * vectorised: one scalar min/max chain per row, then the same grid
+ * and rounding. A row holding a NaN or an infinity gets a NaN scale,
+ * zero point 0 and all-zero bytes.
+ */
+inline void
+quantize_activations_ref(const Matrix &x, QActivations &out)
+{
+    const std::size_t m = x.rows();
+    const std::size_t k = x.cols();
+    out.rows = m;
+    out.cols = k;
+    out.stride = (k + 3) / 4 * 4;
+    out.q.assign(m * out.stride, 0);
+    out.scales.assign(m, 1.0f);
+    out.zero_points.assign(m, 0);
+    for (std::size_t r = 0; r < m; ++r) {
+        const float *src = x.row(r);
+        float lo = 0.0f;
+        float hi = 0.0f;
+        bool finite = true;
+        for (std::size_t j = 0; j < k; ++j) {
+            lo = std::min(lo, src[j]);
+            hi = std::max(hi, src[j]);
+            finite = finite && std::isfinite(src[j]);
+        }
+        if (!finite) {
+            out.scales[r] = std::numeric_limits<float>::quiet_NaN();
+            continue;
+        }
+        if (hi == lo)
+            continue;
+        const float scale = (hi - lo) / 255.0f;
+        const float inv = 1.0f / scale;
+        const auto zp = std::clamp<std::int32_t>(
+            static_cast<std::int32_t>(std::lround(-lo * inv)), 0, 255);
+        out.scales[r] = scale;
+        out.zero_points[r] = zp;
+        const auto zpf = static_cast<float>(zp);
+        std::uint8_t *dst = out.q.data() + r * out.stride;
+        for (std::size_t j = 0; j < k; ++j) {
+            float f = src[j] * inv + zpf;
+            f = std::min(std::max(f, 0.0f), 255.0f);
+            dst[j] = static_cast<std::uint8_t>(f + 0.5f);
+        }
+    }
+}
+
+/**
+ * The int8 LSTM input projection as each LSTM ran it before the
+ * shared quantize_with_residual: quantize x (scalar oracle), run its
+ * qgemm, take the fp32 residual x - dequant(qx), quantize that and
+ * run its qgemm into the same zeroed proj (rows, 4H).
+ */
+inline void
+project_inputs_ref(const QuantizedLstm &lstm, const Matrix &x,
+                   Matrix &proj)
+{
+    QActivations qx;
+    QActivations qr;
+    quantize_activations_ref(x, qx);
+    proj.resize(x.rows(), 4 * lstm.hidden());
+    qgemm_nt(qx, lstm.wx(), proj);
+    Matrix r(x.rows(), x.cols());
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+        const float s = qx.scale(i);
+        const auto zp = static_cast<float>(qx.zero_point(i));
+        const std::uint8_t *q = qx.row(i);
+        for (std::size_t j = 0; j < x.cols(); ++j)
+            r.at(i, j) =
+                x.at(i, j) - (static_cast<float>(q[j]) - zp) * s;
+    }
+    quantize_activations_ref(r, qr);
+    qgemm_nt(qr, lstm.wx(), proj);
 }
 
 /** Row-wise argmax of a logits/probability matrix. */

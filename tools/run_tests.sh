@@ -32,14 +32,17 @@ trap 'rm -f "$out"' EXIT
 ./build/bench/bench_table1_hparams --stats_json="$out" >/dev/null
 python3 tools/check_stats_schema.py "$out"
 
-# Int8 engine smoke (DESIGN.md section 5.13): the qgemm microkernel
-# benchmarks must run and report throughput. The correctness tests
-# (test_quantized) already ran in both tier-1 gates above; this just
-# proves the VNNI/portable kernel executes outside gtest too.
+# Int8 engine smoke (DESIGN.md section 5.13): the qgemm microkernel,
+# the activation quantizer and a whole int8 predict must run and
+# report throughput. The correctness tests (test_quantized) already
+# ran in both tier-1 gates above; this just proves the VNNI/portable
+# kernels execute outside gtest too.
 echo "== bench_micro_nn qgemm smoke =="
 qgemm_out=$(./build/bench/bench_micro_nn --op=qgemm \
     --benchmark_min_time=0.05 2>&1)
 printf '%s\n' "$qgemm_out" | grep -q "BM_QgemmNtVoyager"
+printf '%s\n' "$qgemm_out" | grep -q "BM_QuantizeActivations/1x64"
+printf '%s\n' "$qgemm_out" | grep -q "BM_QuantizedPredict/1 "
 
 # GEMM smoke (DESIGN.md sections 5.10 and 5.20): the packed kernels,
 # including the one-row tile at the batch-1 recurrent shape, must run.
