@@ -57,7 +57,7 @@ main(int argc, char **argv)
             ctx.run_replay(name, "voyager", res.predictions)
                 .speedup_over(base);
 
-        const auto rep = core::compress_model(adapter.model(), {});
+        const auto rep = core::compress_model(adapter.model());
 
         // Post-compress inference comparison: the pruned+quantized
         // weights run once through the fp32 path and once through the

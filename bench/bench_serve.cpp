@@ -117,7 +117,7 @@ run_ladder(core::VoyagerAdapter &adapter, const core::TabularTable &table,
 {
     serve::AdapterPredictor neural(adapter);
     serve::TabularPredictor tabular(table, neural);
-    serve::HeuristicEngine heuristic("stream_group", degree);
+    serve::HeuristicEngine heuristic(degree);
     std::vector<serve::EngineRung> rungs;
     rungs.push_back({"fp32", &neural, nullptr,
                      [&] { adapter.disable_int8_inference(); }});

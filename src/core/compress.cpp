@@ -7,7 +7,7 @@
 namespace voyager::core {
 
 CompressionReport
-compress_model(VoyagerModel &model, const CompressConfig &cfg)
+compress_model(VoyagerModel &model)
 {
     CompressionReport rep;
 
@@ -23,7 +23,7 @@ compress_model(VoyagerModel &model, const CompressConfig &cfg)
             std::find(embeddings.begin(), embeddings.end(), w) !=
             embeddings.end();
         const double sparsity =
-            is_embedding ? cfg.prune_sparsity : cfg.dense_layer_sparsity;
+            is_embedding ? kPruneSparsity : kDenseLayerSparsity;
         nn::magnitude_prune(*w, sparsity);
         // Scale axis mirrors QMatrix: embedding tables and bias row
         // vectors per-row, 2-D weights per output channel.
@@ -52,10 +52,10 @@ compress_model(VoyagerModel &model, const CompressConfig &cfg)
 }
 
 std::uint64_t
-temporal_prefetcher_bytes(std::uint64_t distinct_lines,
-                          std::uint64_t bytes_per_entry)
+temporal_prefetcher_bytes(std::uint64_t distinct_lines)
 {
-    return distinct_lines * bytes_per_entry;
+    constexpr std::uint64_t kBytesPerEntry = 12;
+    return distinct_lines * kBytesPerEntry;
 }
 
 }  // namespace voyager::core

@@ -29,31 +29,27 @@ struct CompressionReport
     double rms_quant_error = 0.0;
 };
 
-/** Compression knobs (paper: 80% pruning, int8). */
-struct CompressConfig
-{
-    double prune_sparsity = 0.8;
-    /** Heads/LSTM kept denser than embeddings if set below sparsity. */
-    double dense_layer_sparsity = 0.5;
-};
+/** Fraction of each embedding table pruned (paper: 80%). */
+inline constexpr double kPruneSparsity = 0.8;
+/** Fraction of each LSTM/head weight pruned: they are small but
+ *  sensitive, so they are kept denser than the embeddings. */
+inline constexpr double kDenseLayerSparsity = 0.5;
 
 /**
  * Prune + quantize the model in place and report storage at each
- * stage. Embedding tables are pruned at `prune_sparsity`; LSTM/head
- * weights at `dense_layer_sparsity` (they are small but sensitive).
+ * stage. Embedding tables are pruned at kPruneSparsity; LSTM/head
+ * weights at kDenseLayerSparsity.
  * Quantization is symmetric per-channel on the same int8 grid as
  * QMatrix — per-row for embeddings and bias vectors, per-output-
  * channel (column) for 2-D weights — so a QuantizedVoyagerModel
  * built from the compressed model executes the identical weights.
  */
-CompressionReport compress_model(VoyagerModel &model,
-                                 const CompressConfig &cfg = {});
+CompressionReport compress_model(VoyagerModel &model);
 
 /**
  * Storage a conventional temporal prefetcher needs for the same
- * stream, for the Fig. 17 comparison: entries x bytes-per-entry.
+ * stream, for the Fig. 17 comparison: 12 bytes per distinct line.
  */
-std::uint64_t temporal_prefetcher_bytes(std::uint64_t distinct_lines,
-                                        std::uint64_t bytes_per_entry = 12);
+std::uint64_t temporal_prefetcher_bytes(std::uint64_t distinct_lines);
 
 }  // namespace voyager::core

@@ -76,7 +76,7 @@ DeltaLstmModel::DeltaLstmModel(const DeltaLstmConfig &cfg,
       lstm_(cfg.pc_embed_dim + cfg.delta_embed_dim, cfg.lstm_units, rng_),
       head_(cfg.lstm_units, static_cast<std::size_t>(num_delta_tokens),
             rng_),
-      opt_(nn::AdamConfig{cfg.learning_rate, 0.9, 0.999, 1e-8, 5.0})
+      opt_(nn::AdamConfig{cfg.learning_rate})
 {
     opt_.add_embedding(&pc_emb_);
     opt_.add_embedding(&delta_emb_);

@@ -38,8 +38,7 @@ all_label_schemes()
 }
 
 std::vector<LabelSet>
-compute_labels(const std::vector<LlcAccess> &stream,
-               const LabelerConfig &cfg)
+compute_labels(const std::vector<LlcAccess> &stream)
 {
     const std::size_t n = stream.size();
     std::vector<LabelSet> labels(n);
@@ -48,16 +47,15 @@ compute_labels(const std::vector<LlcAccess> &stream,
     // Indices (not lines) are tracked so the label horizon can bound
     // how far ahead a label may point.
     {
-        const std::size_t horizon = cfg.label_horizon;
-        auto within = [&](std::size_t from, std::size_t at) {
-            return horizon == 0 || at - from <= horizon;
+        auto within = [](std::size_t from, std::size_t at) {
+            return at - from <= kLabelHorizon;
         };
         std::optional<std::size_t> next_global;
         FlatHashMap<Addr, std::size_t> next_by_pc;
         FlatHashMap<Addr, std::size_t> next_by_bb;
         for (std::size_t i = n; i-- > 0;) {
             const auto &a = stream[i];
-            const Addr bb = a.pc >> cfg.basic_block_shift;
+            const Addr bb = a.pc >> kBasicBlockShift;
             if (next_global && within(i, *next_global)) {
                 labels[i][static_cast<std::size_t>(
                     LabelScheme::Global)] = stream[*next_global].line;
@@ -83,12 +81,12 @@ compute_labels(const std::vector<LlcAccess> &stream,
     // Forward scan: spatial label (first future load within range).
     for (std::size_t i = 0; i < n; ++i) {
         const auto line = static_cast<std::int64_t>(stream[i].line);
-        const std::size_t end = std::min(n, i + 1 + cfg.spatial_horizon);
+        const std::size_t end = std::min(n, i + 1 + kSpatialHorizon);
         for (std::size_t j = i + 1; j < end; ++j) {
             if (!stream[j].is_load)
                 continue;
             const auto cand = static_cast<std::int64_t>(stream[j].line);
-            if (std::llabs(cand - line) <= cfg.spatial_range) {
+            if (std::llabs(cand - line) <= kSpatialRange) {
                 labels[i][static_cast<std::size_t>(
                     LabelScheme::Spatial)] = stream[j].line;
                 break;
@@ -143,7 +141,7 @@ compute_labels(const std::vector<LlcAccess> &stream,
             for (std::uint32_t o = first[k]; o < first[k + 1]; ++o) {
                 const std::size_t i = occ[o];
                 const std::size_t end =
-                    std::min(n, i + 1 + cfg.cooccurrence_window);
+                    std::min(n, i + 1 + kCooccurrenceWindow);
                 for (std::size_t j = i + 1; j < end; ++j) {
                     if (stream[j].is_load && id[j] != k &&
                         count[id[j]]++ == 0)
@@ -167,7 +165,7 @@ compute_labels(const std::vector<LlcAccess> &stream,
             if (b == kNone)
                 continue;
             const std::size_t end =
-                std::min(n, i + 1 + cfg.cooccurrence_window);
+                std::min(n, i + 1 + kCooccurrenceWindow);
             for (std::size_t j = i + 1; j < end; ++j) {
                 if (stream[j].is_load && id[j] == b) {
                     labels[i][static_cast<std::size_t>(

@@ -44,24 +44,21 @@ std::string label_scheme_name(LabelScheme s);
 /** Every scheme, in enum order. */
 std::vector<LabelScheme> all_label_schemes();
 
-/** Labeler parameters. */
-struct LabelerConfig
-{
-    /** Spatial label window: |Δline| <= this (paper: 256). */
-    std::int64_t spatial_range = 256;
-    /** Max lookahead when searching for the spatial label. Kept close
-     *  to the evaluation horizon so every labeling scheme's target is
-     *  a near-future access (see EXPERIMENTS.md). */
-    std::size_t spatial_horizon = 32;
-    /** Co-occurrence future window (paper: 10). */
-    std::size_t cooccurrence_window = 10;
-    /** Basic-block id = pc >> this (trace layout uses 256 B blocks). */
-    int basic_block_shift = 8;
-    /** Max lookahead (in accesses) for the global/PC/basic-block
-     *  labels; 0 = unbounded. A label that far in the future cannot be
-     *  scored (or usefully prefetched) at miniature scale. */
-    std::size_t label_horizon = 32;
-};
+/** Spatial label window: |Δline| <= this (paper: 256). Pattern
+ *  breakdowns (classify_patterns) use the same range. */
+inline constexpr std::int64_t kSpatialRange = 256;
+/** Max lookahead when searching for the spatial label. Kept close to
+ *  the evaluation horizon so every labeling scheme's target is a
+ *  near-future access (see EXPERIMENTS.md). */
+inline constexpr std::size_t kSpatialHorizon = 32;
+/** Co-occurrence future window (paper: 10). */
+inline constexpr std::size_t kCooccurrenceWindow = 10;
+/** Basic-block id = pc >> this (trace layout uses 256 B blocks). */
+inline constexpr int kBasicBlockShift = 8;
+/** Max lookahead (in accesses) for the global/PC/basic-block labels.
+ *  A label farther in the future cannot be scored (or usefully
+ *  prefetched) at miniature scale. */
+inline constexpr std::size_t kLabelHorizon = 32;
 
 /** The candidate labels of one access (line addresses). */
 using LabelSet =
@@ -72,8 +69,7 @@ using LabelSet =
  * always *load* lines (the paper's prefetch targets are load
  * addresses).
  */
-std::vector<LabelSet> compute_labels(const std::vector<LlcAccess> &stream,
-                                     const LabelerConfig &cfg = {});
+std::vector<LabelSet> compute_labels(const std::vector<LlcAccess> &stream);
 
 /** Distinct label lines of a set restricted to `enabled` schemes. */
 std::vector<Addr> distinct_labels(const LabelSet &set,

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/labeler.hpp"
 #include "prefetch/hybrid.hpp"
 
 namespace voyager::core {
@@ -64,9 +65,10 @@ covered_flags(const std::vector<LlcAccess> &stream,
 PatternBreakdown
 classify_patterns(const std::vector<LlcAccess> &stream,
                   const std::vector<std::uint8_t> &covered,
-                  std::size_t first_index, std::int64_t spatial_range,
-                  std::size_t cooccur_k)
+                  std::size_t first_index)
 {
+    // Followers that count as co-occurring (the paper's k = 10).
+    constexpr std::size_t kCooccurK = 10;
     PatternBreakdown b;
     const std::size_t n = stream.size();
 
@@ -90,7 +92,7 @@ classify_patterns(const std::vector<LlcAccess> &stream,
                       return x.second < y.second;
                   });
         auto &set = topk[line];
-        for (std::size_t k = 0; k < std::min(cooccur_k, items.size());
+        for (std::size_t k = 0; k < std::min(kCooccurK, items.size());
              ++k)
             set.insert(items[k].second);
     }
@@ -110,7 +112,7 @@ classify_patterns(const std::vector<LlcAccess> &stream,
         const std::int64_t delta =
             static_cast<std::int64_t>(line) -
             static_cast<std::int64_t>(stream[i - 1].line);
-        const bool spatial = std::llabs(delta) <= spatial_range;
+        const bool spatial = std::llabs(delta) <= kSpatialRange;
         if (covered[i]) {
             if (spatial)
                 ++b.covered_spatial;

@@ -79,15 +79,14 @@ struct PatternBreakdown
 /**
  * Classify each (evaluated) access by how it relates to its
  * predecessor and whether the predictor covered it:
- *  - spatial: |Δline| from the previous access <= spatial_range
+ *  - spatial: |Δline| from the previous access <= kSpatialRange
  *  - compulsory: first occurrence of the line in the whole stream
  *  - co-occurrence-k: the line is one of the k most frequent followers
  *    of the previous line (k = 10 as in the paper)
  */
 PatternBreakdown classify_patterns(
     const std::vector<LlcAccess> &stream,
-    const std::vector<std::uint8_t> &covered, std::size_t first_index,
-    std::int64_t spatial_range = 256, std::size_t cooccur_k = 10);
+    const std::vector<std::uint8_t> &covered, std::size_t first_index);
 
 /**
  * Run a rule-based prefetcher over an LLC stream, recording its

@@ -16,6 +16,14 @@ namespace voyager::core {
 
 using nn::Matrix;
 
+namespace {
+
+/** Positive-class weight in the BCE loss (counteracts the one-
+ *  positive-vs-vocabulary-of-negatives imbalance). */
+constexpr float kBcePosWeight = 20.0f;
+
+}  // namespace
+
 VoyagerConfig
 VoyagerConfig::paper()
 {
@@ -57,8 +65,7 @@ VoyagerModel::VoyagerModel(const VoyagerConfig &cfg,
                  rng_),
       offset_head_(cfg.lstm_units,
                    static_cast<std::size_t>(num_offset_tokens), rng_),
-      opt_(nn::AdamConfig{cfg.learning_rate, 0.9, 0.999, 1e-8,
-                          cfg.grad_clip})
+      opt_(nn::AdamConfig{cfg.learning_rate})
 {
     opt_.add_embedding(&pc_emb_);
     opt_.add_embedding(&page_emb_);
@@ -415,9 +422,9 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
             }
         }
         loss += nn::bce_multilabel_loss(page_logits_, pl, dpage,
-                                        cfg_.bce_pos_weight);
+                                        kBcePosWeight);
         loss += nn::bce_multilabel_loss(offset_logits_, ol, doffset,
-                                        cfg_.bce_pos_weight);
+                                        kBcePosWeight);
     } else {
         // Softmax CE against one candidate per sample: either the
         // most-predictable candidate (multi-label SoftmaxBest) or the

@@ -52,15 +52,11 @@ struct VoyagerConfig
     float attention_scale = 1.0f;      ///< the paper's factor f
     double learning_rate = 1e-3;
     double lr_decay_ratio = 2.0;       ///< LR divided by this per epoch
-    double grad_clip = 5.0;            ///< global grad-norm clip; 0=off
     std::size_t batch_size = 64;
     bool use_pc_feature = true;        ///< Fig. 12 PC-history ablation
     bool multi_label = true;           ///< multi-label vs. first-label CE
     /** How the multi-label objective is realized (see MultiLabelLoss). */
     MultiLabelLoss multi_label_loss = MultiLabelLoss::SoftmaxBest;
-    /** Positive-class weight in the BCE loss (counteracts the one-
-     *  positive-vs-vocabulary-of-negatives imbalance). */
-    float bce_pos_weight = 20.0f;
     /** Labeling schemes supplying training labels (§4.4). */
     std::vector<LabelScheme> schemes = all_label_schemes();
     std::uint64_t seed = 42;

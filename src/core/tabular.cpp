@@ -16,6 +16,9 @@ namespace {
  *  sweeps over a victim before it reaches zero. */
 constexpr std::uint32_t kMaxFreq = 255;
 
+/** Fraction of the budget given to the backoff level. */
+constexpr double kL2BudgetFraction = 0.25;
+
 }  // namespace
 
 TabularTable::TabularTable(const TabularConfig &cfg)
@@ -31,10 +34,8 @@ TabularTable::TabularTable(const TabularConfig &cfg)
     const std::uint64_t per_entry = entry_bytes();
     std::uint64_t l2_budget = 0;
     if (l2_.history > 0) {
-        const double f =
-            std::clamp(cfg_.l2_budget_fraction, 0.0, 0.9);
         l2_budget = static_cast<std::uint64_t>(
-            static_cast<double>(cfg_.budget_bytes) * f);
+            static_cast<double>(cfg_.budget_bytes) * kL2BudgetFraction);
     }
     const std::uint64_t l1_budget = cfg_.budget_bytes - l2_budget;
     // Strict budget: a level too small for even one entry stays

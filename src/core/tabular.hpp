@@ -45,8 +45,6 @@ struct TabularConfig
     std::uint32_t degree = 4;
     /** Strict storage budget across both levels. */
     std::uint64_t budget_bytes = 256 * 1024;
-    /** Fraction of the budget given to the backoff level. */
-    double l2_budget_fraction = 0.25;
 };
 
 /** One table candidate: a (page, offset) token pair with its vote. */

@@ -45,13 +45,13 @@ HealthMonitor::check(double loss, const SequenceModel &model)
         ++health_stats().nonfinite_loss;
         return HealthVerdict::NonFiniteLoss;
     }
-    bool spiked = loss > cfg_.divergence_loss;
-    if (!spiked && !baseline_.empty() && loss > cfg_.min_spike_loss) {
+    bool spiked = loss > kDivergenceLoss;
+    if (!spiked && !baseline_.empty() && loss > kMinSpikeLoss) {
         double mean = 0.0;
         for (const double l : baseline_)
             mean += l;
         mean /= static_cast<double>(baseline_.size());
-        spiked = loss > cfg_.loss_spike_factor * mean;
+        spiked = loss > kLossSpikeFactor * mean;
     }
     if (spiked) {
         ++health_stats().loss_spikes;
@@ -62,7 +62,7 @@ HealthMonitor::check(double loss, const SequenceModel &model)
         return HealthVerdict::NonFiniteState;
     }
     baseline_.push_back(loss);
-    if (baseline_.size() > cfg_.baseline_window)
+    if (baseline_.size() > kBaselineWindow)
         baseline_.erase(baseline_.begin());
     return HealthVerdict::Healthy;
 }
@@ -134,7 +134,7 @@ train_online(SequenceModel &model, std::size_t stream_size,
     const std::size_t every =
         std::max<std::size_t>(1, ckpt.every_epochs);
 
-    HealthMonitor monitor(cfg.health);
+    HealthMonitor monitor;
     // `health.skipped_steps` is process-wide; report this run's share.
     const std::uint64_t skipped_before = health_stats().skipped_steps;
     const auto finish = [&skipped_before](OnlineResult &r) {
@@ -165,7 +165,7 @@ train_online(SequenceModel &model, std::size_t stream_size,
         // Then train on this epoch (or, cumulatively, on everything
         // seen so far) under the watchdog: an unhealthy verdict rolls
         // model and RNG back to the pre-epoch snapshot, backs off the
-        // LR and retries; exhausting max_retries (or lacking snapshot
+        // LR and retries; exhausting the retries (or lacking snapshot
         // support) degrades the run and returns early (§5.14).
         std::string snapshot;
         bool have_snapshot = false;
@@ -212,11 +212,11 @@ train_online(SequenceModel &model, std::size_t stream_size,
                 // attempt.
                 if (attempt > 1)
                     model.scale_lr(
-                        std::pow(cfg.health.lr_backoff,
+                        std::pow(kHealthLrBackoff,
                                  -static_cast<double>(attempt - 1)));
                 break;
             }
-            if (attempt >= cfg.health.max_retries || !have_snapshot) {
+            if (attempt >= kMaxHealthRetries || !have_snapshot) {
                 res.degraded = true;
                 ++health_stats().degraded_runs;
                 res.train_seconds += seconds_since(t0);
@@ -232,7 +232,7 @@ train_online(SequenceModel &model, std::size_t stream_size,
             // Later retries progressively back the LR off; load_state
             // restored the snapshot LR, so apply it after.
             if (attempt > 0) {
-                model.scale_lr(std::pow(cfg.health.lr_backoff,
+                model.scale_lr(std::pow(kHealthLrBackoff,
                                         static_cast<double>(attempt)));
                 ++health_stats().lr_backoffs;
             }
@@ -268,12 +268,11 @@ train_online(SequenceModel &model, std::size_t stream_size,
 
 VoyagerAdapter::VoyagerAdapter(const VoyagerConfig &cfg,
                                const std::vector<LlcAccess> &stream,
-                               const VocabConfig &vocab_cfg,
-                               const LabelerConfig &labeler_cfg)
+                               const VocabConfig &vocab_cfg)
     : cfg_(cfg), stream_(stream),
       vocab_(Vocabulary::build(stream, vocab_cfg)),
       encoded_(encode_stream(stream, vocab_)),
-      labels_(compute_labels(stream, labeler_cfg)),
+      labels_(compute_labels(stream)),
       model_(cfg, vocab_.num_pc_tokens(), vocab_.num_page_tokens(),
              vocab_.num_offset_tokens())
 {

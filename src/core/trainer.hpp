@@ -68,26 +68,6 @@ class SequenceModel
     virtual void scale_lr(double /*factor*/) {}
 };
 
-/** Watchdog thresholds and recovery policy (DESIGN.md §5.14). */
-struct HealthConfig
-{
-    /** Spike = loss > factor x rolling baseline mean... */
-    double loss_spike_factor = 8.0;
-    /** ...but only when it also exceeds this floor, so the noisy
-     *  first epochs of a healthy run can never trip the detector. */
-    double min_spike_loss = 20.0;
-    /** Unconditional divergence bound (no baseline required). */
-    double divergence_loss = 1e6;
-    /** Rolling-baseline window, in healthy epoch losses. */
-    std::size_t baseline_window = 8;
-    /** Rollback-and-retry attempts per epoch before degrading. */
-    std::size_t max_retries = 2;
-    /** LR multiplier for the second and later retries of an epoch —
-     *  the first retry replays unchanged (transient faults vanish on
-     *  replay); the backoff is undone once the epoch passes. */
-    double lr_backoff = 0.5;
-};
-
 /** What a health check concluded. */
 enum class HealthVerdict : std::uint8_t
 {
@@ -106,18 +86,32 @@ enum class HealthVerdict : std::uint8_t
 class HealthMonitor
 {
   public:
-    explicit HealthMonitor(const HealthConfig &cfg = {}) : cfg_(cfg) {}
+    /** Spike = loss > factor x rolling baseline mean... */
+    static constexpr double kLossSpikeFactor = 8.0;
+    /** ...but only when it also exceeds this floor, so the noisy
+     *  first epochs of a healthy run can never trip the detector. */
+    static constexpr double kMinSpikeLoss = 20.0;
+    /** Unconditional divergence bound (no baseline required). */
+    static constexpr double kDivergenceLoss = 1e6;
+    /** Rolling-baseline window, in healthy epoch losses. */
+    static constexpr std::size_t kBaselineWindow = 8;
 
     /** Judge one completed epoch. Healthy losses join the baseline. */
     HealthVerdict check(double loss, const SequenceModel &model);
 
-    /** Healthy losses seen so far (capped at baseline_window). */
+    /** Healthy losses seen so far (capped at kBaselineWindow). */
     std::size_t baseline_size() const { return baseline_.size(); }
 
   private:
-    HealthConfig cfg_;
     std::vector<double> baseline_;  ///< rolling window, oldest first
 };
+
+/** Rollback-and-retry attempts per epoch before a run degrades. */
+inline constexpr std::size_t kMaxHealthRetries = 2;
+/** LR multiplier for the second and later retries of an epoch — the
+ *  first retry replays unchanged (transient faults vanish on replay);
+ *  the backoff is undone once the epoch passes. */
+inline constexpr double kHealthLrBackoff = 0.5;
 
 /** Online-training schedule. */
 struct OnlineTrainConfig
@@ -134,8 +128,6 @@ struct OnlineTrainConfig
      *  efficiency at miniature scale. */
     bool cumulative = false;
     std::uint64_t seed = 7;
-    /** Watchdog thresholds and recovery policy. */
-    HealthConfig health;
 };
 
 /** What the online protocol produces. */
@@ -192,8 +184,7 @@ class VoyagerAdapter final : public SequenceModel
   public:
     VoyagerAdapter(const VoyagerConfig &cfg,
                    const std::vector<LlcAccess> &stream,
-                   const VocabConfig &vocab_cfg = {},
-                   const LabelerConfig &labeler_cfg = {});
+                   const VocabConfig &vocab_cfg = {});
 
     std::string name() const override { return "voyager"; }
     double train_on(const std::vector<std::size_t> &indices) override;

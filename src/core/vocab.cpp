@@ -28,7 +28,7 @@ Vocabulary::build(const std::vector<LlcAccess> &stream,
                 a.pc, static_cast<std::int32_t>(v.pc_ids_.size()) + 1);
         }
         const bool frequent =
-            !cfg.use_deltas || line_freq.count(a.line) >= cfg.min_addr_freq;
+            !cfg.use_deltas || line_freq.count(a.line) >= kMinAddrFreq;
         if (!frequent)
             v.infrequent_lines_.insert(a.line);
         if (frequent) {
@@ -49,8 +49,7 @@ Vocabulary::build(const std::vector<LlcAccess> &stream,
 
     // Admit the most frequent page deltas ('d'-marked entries).
     if (cfg.use_deltas) {
-        for (const auto &[key, cnt] : delta_freq.top_k(
-                 cfg.max_page_deltas)) {
+        for (const auto &[key, cnt] : delta_freq.top_k(kMaxPageDeltas)) {
             const auto dp = static_cast<std::int64_t>(key);
             v.page_deltas_.push_back(dp);
             v.page_delta_ids_.emplace(

@@ -2,7 +2,7 @@
  * @file
  * Voyager's hierarchical vocabulary (paper §4.2-4.3): addresses are
  * decomposed into page tokens and offset tokens; addresses that occur
- * fewer than `min_addr_freq` times are represented as (page-delta,
+ * fewer than `kMinAddrFreq` times are represented as (page-delta,
  * offset-delta) tokens instead, which lets the model prefetch
  * compulsory misses. Infrequent addresses are found by a profiling
  * pass over the training prefix, as in the paper.
@@ -21,13 +21,14 @@ namespace voyager::core {
 
 using sim::LlcAccess;
 
+/** Addresses seen fewer times than this become delta tokens. */
+inline constexpr std::uint64_t kMinAddrFreq = 2;
+/** How many distinct page deltas get tokens (paper: ~10). */
+inline constexpr std::size_t kMaxPageDeltas = 10;
+
 /** Vocabulary construction knobs. */
 struct VocabConfig
 {
-    /** Addresses seen fewer times than this become delta tokens. */
-    std::uint64_t min_addr_freq = 2;
-    /** How many distinct page deltas get tokens (paper: ~10). */
-    std::size_t max_page_deltas = 10;
     /** Master switch for the delta vocabulary (§4.3 ablation). */
     bool use_deltas = true;
 };

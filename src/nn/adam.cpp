@@ -97,21 +97,21 @@ Adam::step()
         zero_grad();
         return;
     }
-    if (cfg_.clip_norm > 0.0 && norm > cfg_.clip_norm && norm > 0.0) {
+    if (norm > kClipNorm) {
         // Global-norm clip, reusing the norm computed for the
         // finite-ness check.
-        const float scale = static_cast<float>(cfg_.clip_norm / norm);
+        const float scale = static_cast<float>(kClipNorm / norm);
         for (Matrix *g : grads)
             scale_inplace(*g, scale);
     }
 
     ++t_;
-    const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
-    const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
+    const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
     const AdamCoeffs k{static_cast<float>(cfg_.lr * std::sqrt(bc2) / bc1),
-                       static_cast<float>(cfg_.beta1),
-                       static_cast<float>(cfg_.beta2),
-                       static_cast<float>(cfg_.eps)};
+                       static_cast<float>(kBeta1),
+                       static_cast<float>(kBeta2),
+                       static_cast<float>(kEps)};
     for (auto &s : dense_) {
         update_span(s.param->value.data(), s.param->grad.data(),
                     s.m.data(), s.v.data(), s.param->value.size(), k);

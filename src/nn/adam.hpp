@@ -21,17 +21,21 @@ namespace voyager::nn {
 struct AdamConfig
 {
     double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-    /** Global gradient-norm clip; <= 0 disables clipping. */
-    double clip_norm = 5.0;
 };
 
 /** Adam over a fixed set of registered parameters. */
 class Adam
 {
   public:
+    /** First-moment decay. */
+    static constexpr double kBeta1 = 0.9;
+    /** Second-moment decay. */
+    static constexpr double kBeta2 = 0.999;
+    /** Denominator guard. */
+    static constexpr double kEps = 1e-8;
+    /** Gradients are rescaled to this global norm when it is larger. */
+    static constexpr double kClipNorm = 5.0;
+
     explicit Adam(const AdamConfig &cfg = {});
 
     /** Register a dense parameter. Must outlive the optimizer. */
@@ -41,7 +45,8 @@ class Adam
     void add_embedding(Embedding *e);
 
     /**
-     * Apply one update; zeroes all gradients and touched sets. When
+     * Apply one update after clipping the global gradient norm to
+     * kClipNorm; zeroes all gradients and touched sets. When
      * the global gradient norm is non-finite the step is skipped
      * entirely (gradients zeroed, no moment/weight/step-count change)
      * and counted in skipped_steps() / `health.skipped_steps`.

@@ -101,10 +101,14 @@ quantize_activations(const Matrix &x, QActivations &out)
             out.scales[r] = std::numeric_limits<float>::quiet_NaN();
             continue;
         }
-        if (hi == lo)  // all-zero row: scale 1, zp 0, q already 0
-            continue;
+        // An all-zero row keeps scale 1, zero point 0 and zero bytes.
+        // So does a row whose range is too small for 1/scale to be
+        // finite (below about 7.5e-37), whose zeros would otherwise
+        // reach the float->u8 cast as 0 * inf = NaN.
         const float scale = (hi - lo) / 255.0f;
         const float inv = 1.0f / scale;
+        if (std::isinf(inv))
+            continue;
         const auto zp = std::clamp<std::int32_t>(
             static_cast<std::int32_t>(std::lround(-lo * inv)), 0, 255);
         out.scales[r] = scale;
@@ -138,9 +142,18 @@ QMatrix::quantize(const Matrix &w, bool transpose)
 
     for (std::size_t r = 0; r < out.rows_; ++r) {
         float maxabs = 0.0f;
+        bool finite = true;
         for (std::size_t c = 0; c < out.cols_; ++c) {
             const float v = transpose ? w.at(c, r) : w.at(r, c);
             maxabs = std::max(maxabs, std::fabs(v));
+            finite = finite && std::isfinite(v);
+        }
+        if (!finite) {
+            // No grid holds a NaN or an infinity: a NaN scale makes
+            // every output of this channel NaN, as fp32 would, and
+            // its bytes and row sum stay 0.
+            out.scales_[r] = std::numeric_limits<float>::quiet_NaN();
+            continue;
         }
         if (maxabs == 0.0f)
             continue;  // scale 0: the row is exactly zero everywhere

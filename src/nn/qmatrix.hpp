@@ -62,8 +62,10 @@ struct QActivations
  * row. Each row's range is forced to include 0 so its zero point is
  * exact (padding lanes then contribute nothing to qgemm). A row
  * holding a NaN or an infinity gets a NaN scale, zero point 0 and
- * all-zero bytes, so every qgemm output it feeds is NaN. Buffers in
- * `out` are reused across calls.
+ * all-zero bytes, so every qgemm output it feeds is NaN. A row whose
+ * range is zero, or too small for 1/scale to be finite, gets scale 1,
+ * zero point 0 and all-zero bytes. Buffers in `out` are reused across
+ * calls.
  */
 void quantize_activations(const Matrix &x, QActivations &out);
 
@@ -84,7 +86,9 @@ class QMatrix
      * Quantize `w`. Per-row scale = max|row| / 127 (so the extreme
      * element maps to exactly ±127 and re-quantizing an already
      * quantize-dequantized matrix is the identity); all-zero rows get
-     * scale 0 and contribute exactly 0 everywhere downstream.
+     * scale 0 and contribute exactly 0 everywhere downstream. A row
+     * holding a NaN or an infinity gets a NaN scale and zero bytes,
+     * so every output it feeds is NaN.
      * @param transpose quantize per *column* of `w`, storing row r of
      *        the QMatrix as column r of `w` (weight layout (in, out)).
      */

@@ -26,8 +26,8 @@ BestOffset::offset_list()
     return offsets;
 }
 
-BestOffset::BestOffset(const BestOffsetConfig &cfg)
-    : cfg_(cfg), scores_(offset_list().size(), 0)
+BestOffset::BestOffset(std::uint32_t degree)
+    : degree_(degree), scores_(offset_list().size(), 0)
 {
 }
 
@@ -36,12 +36,8 @@ BestOffset::rr_insert(Addr line)
 {
     if (!rr_set_.insert(line))
         return;  // already recent
-    if (rr_ring_.size() < cfg_.rr_size) {
+    if (rr_ring_.size() < kRrSize) {
         rr_ring_.push_back(line);
-        return;
-    }
-    if (rr_ring_.empty()) {  // rr_size 0: the table holds nothing
-        rr_set_.erase(line);
         return;
     }
     // Full: the new line replaces the oldest.
@@ -56,7 +52,7 @@ BestOffset::finish_phase()
 {
     const auto &offs = offset_list();
     int best = 0;
-    int best_score = cfg_.score_threshold - 1;
+    int best_score = kScoreThreshold - 1;
     for (std::size_t i = 0; i < offs.size(); ++i) {
         if (scores_[i] > best_score) {
             best_score = scores_[i];
@@ -77,7 +73,7 @@ BestOffset::on_access(const sim::LlcAccess &access)
     // --- Learning: test one candidate offset per access. ---
     const int d = offs[test_cursor_];
     if (rr_set_.contains(line - static_cast<Addr>(d))) {
-        if (++scores_[test_cursor_] >= cfg_.max_score) {
+        if (++scores_[test_cursor_] >= kMaxScore) {
             best_offset_ = d;
             std::fill(scores_.begin(), scores_.end(), 0);
             round_ = 0;
@@ -86,7 +82,7 @@ BestOffset::on_access(const sim::LlcAccess &access)
     }
     if (++test_cursor_ >= offs.size()) {
         test_cursor_ = 0;
-        if (++round_ >= cfg_.max_rounds)
+        if (++round_ >= kMaxRounds)
             finish_phase();
     }
     rr_insert(line);
@@ -94,13 +90,11 @@ BestOffset::on_access(const sim::LlcAccess &access)
     // --- Prediction: X + D, X + 2D, ... with the adopted offset. ---
     std::vector<Addr> out;
     if (best_offset_ != 0) {
-        for (std::uint32_t k = 1; k <= cfg_.degree; ++k) {
+        for (std::uint32_t k = 1; k <= degree_; ++k) {
             const Addr cand =
                 line + static_cast<Addr>(best_offset_) * k;
-            if (cfg_.same_page_only &&
-                page_of_line(cand) != page_of_line(line)) {
+            if (page_of_line(cand) != page_of_line(line))
                 break;
-            }
             out.push_back(cand);
         }
     }
@@ -111,7 +105,7 @@ std::uint64_t
 BestOffset::storage_bytes() const
 {
     // RR table entries + one score per candidate offset.
-    return cfg_.rr_size * 8 + scores_.size() * 2;
+    return kRrSize * 8 + scores_.size() * 2;
 }
 
 void

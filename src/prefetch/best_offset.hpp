@@ -18,27 +18,13 @@ namespace voyager::prefetch {
 using sim::Prefetcher;
 using voyager::Addr;
 
-/** Best-Offset prefetcher configuration. */
-struct BestOffsetConfig
-{
-    std::uint32_t degree = 1;
-    /** Recent-requests table capacity. */
-    std::size_t rr_size = 256;
-    /** Score needed for an offset to be adopted. */
-    int score_threshold = 20;
-    /** Saturation score: adopt immediately when reached. */
-    int max_score = 31;
-    /** Learning rounds per phase (each round tests every offset once). */
-    int max_rounds = 100;
-    /** Restrict prefetches to the trigger's 4 KiB page. */
-    bool same_page_only = true;
-};
-
 /** Best-Offset prefetcher. */
 class BestOffset final : public Prefetcher
 {
   public:
-    explicit BestOffset(const BestOffsetConfig &cfg = {});
+    /** @param degree prefetches per trigger, X + D up to X + degree*D,
+     *         cut at the trigger's 4 KiB page */
+    explicit BestOffset(std::uint32_t degree = 1);
 
     std::string name() const override { return "bo"; }
     std::vector<Addr> on_access(const sim::LlcAccess &access) override;
@@ -53,11 +39,20 @@ class BestOffset final : public Prefetcher
     static const std::vector<int> &offset_list();
 
   private:
+    /** Recent-requests table capacity. */
+    static constexpr std::size_t kRrSize = 256;
+    /** Score needed for an offset to be adopted. */
+    static constexpr int kScoreThreshold = 20;
+    /** Saturation score: adopt immediately when reached. */
+    static constexpr int kMaxScore = 31;
+    /** Learning rounds per phase (each round tests every offset once). */
+    static constexpr int kMaxRounds = 100;
+
     void rr_insert(Addr line);
     void finish_phase();
 
-    BestOffsetConfig cfg_;
-    /** RR table in insertion order: a ring of up to rr_size lines,
+    std::uint32_t degree_;
+    /** RR table in insertion order: a ring of up to kRrSize lines,
      *  rr_head_ the oldest once full. */
     std::vector<Addr> rr_ring_;
     std::size_t rr_head_ = 0;

@@ -55,9 +55,7 @@ make_isb_bo_hybrid(std::uint32_t total_degree)
     parts.push_back(std::make_unique<Isb>(isb_share));
     std::vector<std::uint32_t> degrees{isb_share};
     if (bo_share > 0) {
-        BestOffsetConfig bo_cfg;
-        bo_cfg.degree = bo_share;
-        parts.push_back(std::make_unique<BestOffset>(bo_cfg));
+        parts.push_back(std::make_unique<BestOffset>(bo_share));
         degrees.push_back(bo_share);
     }
     return std::make_unique<Hybrid>("isb+bo", std::move(parts),

@@ -2,11 +2,6 @@
 
 namespace voyager::prefetch {
 
-Isb::Isb(std::uint32_t degree, std::uint32_t stream_chunk)
-    : degree_(degree), chunk_(stream_chunk)
-{
-}
-
 void
 Isb::map_structural(Addr line, std::uint64_t s)
 {
@@ -33,7 +28,7 @@ Isb::on_access(const sim::LlcAccess &access)
         if (ps == phys_to_struct_.end()) {
             // The trigger has no structural home yet: open a stream.
             s_prev = next_stream_base_;
-            next_stream_base_ += chunk_;
+            next_stream_base_ += kStreamChunk;
             map_structural(prev, s_prev);
         } else {
             s_prev = ps->second;
@@ -43,13 +38,13 @@ Isb::on_access(const sim::LlcAccess &access)
         if (cur == phys_to_struct_.end()) {
             // B is unmapped: append it to A's stream if the slot is
             // free (and not a chunk boundary), else open a new stream.
-            if (desired % chunk_ != 0 &&
+            if (desired % kStreamChunk != 0 &&
                 struct_to_phys_.emplace(desired, line).second) {
                 phys_to_struct_.emplace(line, desired);
                 s = desired;
             } else {
                 s = next_stream_base_;
-                next_stream_base_ += chunk_;
+                next_stream_base_ += kStreamChunk;
                 map_structural(line, s);
             }
         } else {
@@ -73,7 +68,7 @@ Isb::on_access(const sim::LlcAccess &access)
     if (mapped) {
         for (std::uint32_t k = 1; k <= degree_; ++k) {
             // Stay within this stream's chunk.
-            if ((s + k) / chunk_ != s / chunk_)
+            if ((s + k) / kStreamChunk != s / kStreamChunk)
                 break;
             auto sp = struct_to_phys_.find(s + k);
             if (sp == struct_to_phys_.end())

@@ -24,11 +24,8 @@ using voyager::Addr;
 class Isb final : public Prefetcher
 {
   public:
-    /**
-     * @param degree prefetches per trigger
-     * @param stream_chunk structural addresses reserved per new stream
-     */
-    explicit Isb(std::uint32_t degree = 1, std::uint32_t stream_chunk = 256);
+    /** @param degree prefetches per trigger */
+    explicit Isb(std::uint32_t degree = 1) : degree_(degree) {}
 
     std::string name() const override { return "isb"; }
     std::vector<Addr> on_access(const sim::LlcAccess &access) override;
@@ -37,7 +34,11 @@ class Isb final : public Prefetcher
                       const std::string &prefix) const override;
 
     /** Number of allocated structural streams (for tests/diagnostics). */
-    std::uint64_t num_streams() const { return next_stream_base_ / chunk_; }
+    std::uint64_t
+    num_streams() const
+    {
+        return next_stream_base_ / kStreamChunk;
+    }
 
     /**
      * Actual bytes held by the flat metadata tables, as opposed to
@@ -53,6 +54,9 @@ class Isb final : public Prefetcher
     }
 
   private:
+    /** Structural addresses reserved per new stream. */
+    static constexpr std::uint64_t kStreamChunk = 256;
+
     /**
      * Map `line` to structural address s. Both must be unmapped:
      * training maps only lines without a home, and every structural
@@ -62,7 +66,6 @@ class Isb final : public Prefetcher
     void map_structural(Addr line, std::uint64_t s);
 
     std::uint32_t degree_;
-    std::uint32_t chunk_;
     std::uint64_t next_stream_base_ = 0;
 
     FlatHashMap<Addr, Addr> last_by_pc_;          ///< training units

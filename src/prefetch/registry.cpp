@@ -24,25 +24,16 @@ make_prefetcher(const std::string &name, std::uint32_t degree)
         return std::make_unique<Isb>(degree);
     if (name == "domino")
         return std::make_unique<Domino>(degree);
-    if (name == "bo") {
-        BestOffsetConfig cfg;
-        cfg.degree = degree;
-        return std::make_unique<BestOffset>(cfg);
-    }
+    if (name == "bo")
+        return std::make_unique<BestOffset>(degree);
     if (name == "ip_stride")
         return std::make_unique<IpStride>(degree);
     if (name == "next_line")
         return std::make_unique<NextLine>(degree);
-    if (name == "sms") {
-        SmsConfig cfg;
-        cfg.degree = degree;
-        return std::make_unique<Sms>(cfg);
-    }
-    if (name == "stream_group") {
-        StreamGroupConfig cfg;
-        cfg.max_degree = degree;
-        return std::make_unique<StreamGroup>(cfg);
-    }
+    if (name == "sms")
+        return std::make_unique<Sms>(degree);
+    if (name == "stream_group")
+        return std::make_unique<StreamGroup>(degree);
     if (name == "isb+bo")
         return make_isb_bo_hybrid(degree);
     throw std::invalid_argument("unknown prefetcher: " + name);

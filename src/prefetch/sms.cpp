@@ -4,8 +4,6 @@
 
 namespace voyager::prefetch {
 
-Sms::Sms(const SmsConfig &cfg) : cfg_(cfg) {}
-
 void
 Sms::close_generation(Addr /*region*/, const Generation &gen)
 {
@@ -18,15 +16,15 @@ std::vector<Addr>
 Sms::on_access(const sim::LlcAccess &access)
 {
     ++access_counter_;
-    const Addr region = access.line >> cfg_.region_shift;
+    const Addr region = access.line >> kRegionShift;
     const auto offset = static_cast<std::uint32_t>(
-        access.line & ((1ull << cfg_.region_shift) - 1));
+        access.line & ((1ull << kRegionShift) - 1));
 
     // Expire stale generations (interval-based close).
-    if (active_.size() >= cfg_.max_active) {
+    if (active_.size() >= kMaxActive) {
         for (auto it = active_.begin(); it != active_.end();) {
             if (access_counter_ - it->second.last_access >
-                cfg_.generation_timeout) {
+                kGenerationTimeout) {
                 close_generation(it->first, it->second);
                 it = active_.erase(it);
             } else {
@@ -45,10 +43,10 @@ Sms::on_access(const sim::LlcAccess &access)
         gen.footprint = 1ull << offset;
         gen.last_access = access_counter_;
         if (auto pat = pht_.find(gen.sig); pat != pht_.end()) {
-            const Addr base = region << cfg_.region_shift;
+            const Addr base = region << kRegionShift;
             for (std::uint32_t b = 0;
-                 b < (1u << cfg_.region_shift) &&
-                 out.size() < cfg_.degree;
+                 b < (1u << kRegionShift) &&
+                 out.size() < degree_;
                  ++b) {
                 if (b != offset && (pat->second >> b) & 1)
                     out.push_back(base + b);

@@ -20,24 +20,12 @@ namespace voyager::prefetch {
 using sim::Prefetcher;
 using voyager::Addr;
 
-/** SMS parameters. */
-struct SmsConfig
-{
-    std::uint32_t degree = 8;
-    /** log2 lines per region (6 = 64 lines = one 4 KiB page). */
-    int region_shift = 6;
-    /** A generation ends after this many accesses without touching
-     *  the region (interval-based generation close). */
-    std::uint32_t generation_timeout = 256;
-    /** Cap on concurrently tracked generations. */
-    std::size_t max_active = 64;
-};
-
 /** Idealized SMS. */
 class Sms final : public Prefetcher
 {
   public:
-    explicit Sms(const SmsConfig &cfg = {});
+    /** @param degree most footprint lines replayed per trigger */
+    explicit Sms(std::uint32_t degree = 8) : degree_(degree) {}
 
     std::string name() const override { return "sms"; }
     std::vector<Addr> on_access(const sim::LlcAccess &access) override;
@@ -46,6 +34,14 @@ class Sms final : public Prefetcher
     std::size_t patterns_learned() const { return pht_.size(); }
 
   private:
+    /** log2 lines per region (6 = 64 lines = one 4 KiB page). */
+    static constexpr int kRegionShift = 6;
+    /** A generation ends after this many accesses without touching
+     *  the region (interval-based generation close). */
+    static constexpr std::uint64_t kGenerationTimeout = 256;
+    /** Generations tracked before stale ones are closed. */
+    static constexpr std::size_t kMaxActive = 64;
+
     /** Signature: trigger PC + trigger offset within the region. */
     static std::uint64_t
     signature(Addr pc, std::uint32_t offset)
@@ -62,7 +58,7 @@ class Sms final : public Prefetcher
 
     void close_generation(Addr region, const Generation &gen);
 
-    SmsConfig cfg_;
+    std::uint32_t degree_;
     std::uint64_t access_counter_ = 0;
     std::unordered_map<Addr, Generation> active_;        ///< by region
     std::unordered_map<std::uint64_t, std::uint64_t> pht_;  ///< sig->bits

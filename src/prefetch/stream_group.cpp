@@ -3,11 +3,9 @@
 #include <cstdlib>
 #include <limits>
 
-namespace voyager::prefetch {
+#include "prefetch/stride.hpp"
 
-StreamGroup::StreamGroup(const StreamGroupConfig &cfg) : cfg_(cfg)
-{
-}
+namespace voyager::prefetch {
 
 std::uint32_t
 StreamGroup::class_cap(std::int64_t stride, std::uint32_t run_length) const
@@ -15,19 +13,19 @@ StreamGroup::class_cap(std::int64_t stride, std::uint32_t run_length) const
     const std::int64_t mag = stride < 0 ? -stride : stride;
     if (mag == 0)
         return 0;
-    if (mag <= cfg_.dense_stride && run_length >= cfg_.dense_min_run)
-        return cfg_.max_degree;
-    if (mag <= cfg_.medium_stride && run_length >= cfg_.medium_min_run)
-        return std::min(cfg_.medium_degree, cfg_.max_degree);
-    return std::min(cfg_.sparse_degree, cfg_.max_degree);
+    if (mag <= kDenseStride && run_length >= kDenseMinRun)
+        return max_degree_;
+    if (mag <= kMediumStride && run_length >= kMediumMinRun)
+        return std::min(kMediumDegree, max_degree_);
+    return std::min(kSparseDegree, max_degree_);
 }
 
 bool
 StreamGroup::stream_protected(const Stream &s) const
 {
     return s.valid && s.stride != 0 &&
-           s.confidence >= cfg_.confidence_threshold &&
-           group_size(s.stride) >= cfg_.protect_members;
+           s.confidence >= kStrideConfidenceThreshold &&
+           group_size(s.stride) >= kProtectMembers;
 }
 
 bool
@@ -38,7 +36,7 @@ StreamGroup::is_established(Addr pc, std::int64_t stride) const
         return false;
     for (const Stream &s : it->second.streams) {
         if (s.valid && s.stride == stride &&
-            s.confidence >= cfg_.confidence_threshold) {
+            s.confidence >= kStrideConfidenceThreshold) {
             return true;
         }
     }
@@ -53,8 +51,8 @@ StreamGroup::retire_stride(Addr pc, Stream &s)
     auto it = groups_.find(s.stride);
     if (it != groups_.end() && --it->second == 0)
         groups_.erase(it);
-    if (s.run_length >= cfg_.history_min_run) {
-        if (history_.size() >= cfg_.history_size)
+    if (s.run_length >= kHistoryMinRun) {
+        if (history_.size() >= kHistorySize)
             history_.pop_front();
         history_.push_back({pc, s.stride, s.run_length, access_counter_});
         ++patterns_recorded_;
@@ -74,10 +72,10 @@ StreamGroup::set_stride(Addr pc, Stream &s, std::int64_t stride)
     for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
         if (it->pc != pc || it->stride != stride)
             continue;
-        if (access_counter_ - it->time > cfg_.history_window)
+        if (access_counter_ - it->time > kHistoryWindow)
             continue;
-        if (s.confidence < cfg_.confidence_threshold)
-            s.confidence = cfg_.confidence_threshold;
+        if (s.confidence < kStrideConfidenceThreshold)
+            s.confidence = kStrideConfidenceThreshold;
         if (s.run_length < it->run_length)
             s.run_length = it->run_length;
         ++fast_tracks_;
@@ -91,7 +89,7 @@ StreamGroup::lookup_entry(Addr pc)
     auto it = table_.find(pc);
     if (it != table_.end())
         return it->second;
-    if (table_.size() >= cfg_.max_pcs) {
+    if (table_.size() >= kMaxPcs) {
         // Evict the LRU entry, preferring entries with no protected
         // stream so active groups survive churn from one-shot PCs.
         // The fallback keeps the table bounded regardless.
@@ -123,7 +121,7 @@ StreamGroup::lookup_entry(Addr pc)
         ++pc_evictions_;
     }
     Entry &e = table_[pc];
-    e.streams.resize(cfg_.streams_per_pc);
+    e.streams.resize(kStreamsPerPc);
     return e;
 }
 
@@ -142,7 +140,7 @@ StreamGroup::match_stream(Entry &e, Addr line)
     // the stride just changed). Closest head wins; first slot breaks
     // ties so matching stays deterministic.
     Stream *best = nullptr;
-    std::int64_t best_dist = cfg_.match_window + 1;
+    std::int64_t best_dist = kMatchWindow + 1;
     for (Stream &s : e.streams) {
         if (!s.valid)
             continue;
@@ -209,7 +207,7 @@ StreamGroup::on_access(const sim::LlcAccess &access)
     const std::int64_t stride = static_cast<std::int64_t>(access.line) -
                                 static_cast<std::int64_t>(s->last_line);
     if (stride == s->stride && stride != 0) {
-        if (s->confidence < cfg_.confidence_max)
+        if (s->confidence < kStrideConfidenceMax)
             ++s->confidence;
         ++s->run_length;
     } else {
@@ -221,7 +219,7 @@ StreamGroup::on_access(const sim::LlcAccess &access)
     s->last_line = access.line;
     s->last_access = access_counter_;
 
-    if (s->confidence >= cfg_.confidence_threshold && s->stride != 0) {
+    if (s->confidence >= kStrideConfidenceThreshold && s->stride != 0) {
         const std::uint32_t degree = class_cap(s->stride, s->run_length);
         out.reserve(degree);
         for (std::uint32_t k = 1; k <= degree; ++k) {
@@ -240,7 +238,7 @@ StreamGroup::storage_bytes() const
     // Per PC: tag (8) + LRU stamp (8) + per stream: last line (8),
     // stride (8), confidence/run (3), LRU stamp (8).
     const std::uint64_t per_pc =
-        16 + 27ull * static_cast<std::uint64_t>(cfg_.streams_per_pc);
+        16 + 27ull * static_cast<std::uint64_t>(kStreamsPerPc);
     // History entry: pc (8) + stride (8) + run (2) + time (8).
     return table_.size() * per_pc + history_.size() * 26;
 }

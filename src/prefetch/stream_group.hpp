@@ -44,51 +44,44 @@ namespace voyager::prefetch {
 using sim::Prefetcher;
 using voyager::Addr;
 
-/** StreamGroup parameters. */
-struct StreamGroupConfig
-{
-    /** Degree cap for established dense streams (|stride| <=
-     *  dense_stride, run >= dense_min_run). */
-    std::uint32_t max_degree = 4;
-    /** Degree cap for medium streams (|stride| <= medium_stride). */
-    std::uint32_t medium_degree = 2;
-    /** Degree cap for sparse streams (everything else). */
-    std::uint32_t sparse_degree = 1;
-    /** |stride| (lines) at or below which a stream can be dense. */
-    std::int64_t dense_stride = 2;
-    /** |stride| (lines) at or below which a stream can be medium. */
-    std::int64_t medium_stride = 16;
-    /** Run length required for the dense degree cap. */
-    std::uint32_t dense_min_run = 8;
-    /** Run length required for the medium degree cap. */
-    std::uint32_t medium_min_run = 4;
-    /** Confidence needed before any prediction (IpStride-equal). */
-    std::uint32_t confidence_threshold = 2;
-    /** Confidence saturation value (IpStride-equal). */
-    std::uint32_t confidence_max = 3;
-    /** An access within this many lines of a stream's head may be
-     *  matched to it; farther accesses allocate a new stream. */
-    std::int64_t match_window = 64;
-    /** Bound on tracked PCs (table associativity is streams_per_pc). */
-    std::size_t max_pcs = 256;
-    /** Streams tracked concurrently per PC. */
-    std::size_t streams_per_pc = 4;
-    /** Terminated-pattern history entries for the fast-track. */
-    std::size_t history_size = 16;
-    /** Accesses within which a terminated pattern may fast-track. */
-    std::uint64_t history_window = 4096;
-    /** Minimum run length for a terminated stream to be remembered. */
-    std::uint32_t history_min_run = 4;
-    /** Streams in a stride group at least this large (and past the
-     *  confidence threshold) are protected from eviction. */
-    std::uint32_t protect_members = 2;
-};
-
 /** Enhanced stream prefetcher (see file header). */
 class StreamGroup final : public Prefetcher
 {
   public:
-    explicit StreamGroup(const StreamGroupConfig &cfg = {});
+    /** @param max_degree degree cap for established dense streams */
+    explicit StreamGroup(std::uint32_t max_degree = 4)
+        : max_degree_(max_degree)
+    {
+    }
+
+    /** Degree cap for medium streams. */
+    static constexpr std::uint32_t kMediumDegree = 2;
+    /** Degree cap for sparse streams (everything else). */
+    static constexpr std::uint32_t kSparseDegree = 1;
+    /** |stride| (lines) at or below which a stream can be dense. */
+    static constexpr std::int64_t kDenseStride = 2;
+    /** |stride| (lines) at or below which a stream can be medium. */
+    static constexpr std::int64_t kMediumStride = 16;
+    /** Run length required for the dense degree cap. */
+    static constexpr std::uint32_t kDenseMinRun = 8;
+    /** Run length required for the medium degree cap. */
+    static constexpr std::uint32_t kMediumMinRun = 4;
+    /** An access within this many lines of a stream's head may be
+     *  matched to it; farther accesses allocate a new stream. */
+    static constexpr std::int64_t kMatchWindow = 64;
+    /** Bound on tracked PCs (table associativity is kStreamsPerPc). */
+    static constexpr std::size_t kMaxPcs = 256;
+    /** Streams tracked concurrently per PC. */
+    static constexpr std::size_t kStreamsPerPc = 4;
+    /** Terminated-pattern history entries for the fast-track. */
+    static constexpr std::size_t kHistorySize = 16;
+    /** Accesses within which a terminated pattern may fast-track. */
+    static constexpr std::uint64_t kHistoryWindow = 4096;
+    /** Minimum run length for a terminated stream to be remembered. */
+    static constexpr std::uint32_t kHistoryMinRun = 4;
+    /** Streams in a stride group at least this large (and past the
+     *  confidence threshold) are protected from eviction. */
+    static constexpr std::uint32_t kProtectMembers = 2;
 
     std::string name() const override { return "stream_group"; }
     std::vector<Addr> on_access(const sim::LlcAccess &access) override;
@@ -96,7 +89,7 @@ class StreamGroup final : public Prefetcher
     void export_stats(StatRegistry &reg,
                       const std::string &prefix) const override;
 
-    /** PCs currently tracked (bounded by cfg.max_pcs). */
+    /** PCs currently tracked (bounded by kMaxPcs). */
     std::size_t table_pcs() const { return table_.size(); }
     /** Streams allocated over the run. */
     std::uint64_t streams_created() const { return streams_created_; }
@@ -156,7 +149,7 @@ class StreamGroup final : public Prefetcher
                             std::uint32_t run_length) const;
     bool stream_protected(const Stream &s) const;
 
-    StreamGroupConfig cfg_;
+    std::uint32_t max_degree_;
     std::uint64_t access_counter_ = 0;
     std::unordered_map<Addr, Entry> table_;
     /** stride -> number of live streams using it (group sizes). */

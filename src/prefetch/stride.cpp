@@ -2,11 +2,6 @@
 
 namespace voyager::prefetch {
 
-IpStride::IpStride(std::uint32_t degree, std::uint32_t confidence_threshold)
-    : degree_(degree), threshold_(confidence_threshold)
-{
-}
-
 std::vector<Addr>
 IpStride::on_access(const sim::LlcAccess &access)
 {
@@ -17,13 +12,13 @@ IpStride::on_access(const sim::LlcAccess &access)
             static_cast<std::int64_t>(access.line) -
             static_cast<std::int64_t>(e.last_line);
         if (stride == e.stride && stride != 0) {
-            if (e.confidence < 3)
+            if (e.confidence < kStrideConfidenceMax)
                 ++e.confidence;
         } else {
             e.stride = stride;
             e.confidence = e.confidence > 0 ? e.confidence - 1 : 0;
         }
-        if (e.confidence >= threshold_ && e.stride != 0) {
+        if (e.confidence >= kStrideConfidenceThreshold && e.stride != 0) {
             for (std::uint32_t k = 1; k <= degree_; ++k) {
                 out.push_back(static_cast<Addr>(
                     static_cast<std::int64_t>(access.line) +

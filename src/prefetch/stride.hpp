@@ -16,12 +16,18 @@ namespace voyager::prefetch {
 using sim::Prefetcher;
 using voyager::Addr;
 
+/** Confidence a stride entry needs before it predicts. StreamGroup
+ *  reads the same pair, which keeps it IpStride-equal on a pure
+ *  stream. */
+inline constexpr std::uint32_t kStrideConfidenceThreshold = 2;
+/** Saturation value of the 2-bit stride confidence counter. */
+inline constexpr std::uint32_t kStrideConfidenceMax = 3;
+
 /** Per-PC stride detector with a 2-bit confidence counter. */
 class IpStride final : public Prefetcher
 {
   public:
-    explicit IpStride(std::uint32_t degree = 1,
-                      std::uint32_t confidence_threshold = 2);
+    explicit IpStride(std::uint32_t degree = 1) : degree_(degree) {}
 
     std::string name() const override { return "ip_stride"; }
     std::vector<Addr> on_access(const sim::LlcAccess &access) override;
@@ -37,7 +43,6 @@ class IpStride final : public Prefetcher
     };
 
     std::uint32_t degree_;
-    std::uint32_t threshold_;
     std::unordered_map<Addr, Entry> table_;
 };
 

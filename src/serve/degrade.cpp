@@ -20,12 +20,12 @@ ServeHealthMonitor::on_response(bool deadline_miss)
     window_misses_ = 0;
     window_faults_ = 0;
 
-    if (faults >= cfg_.faults_down || miss_rate >= cfg_.miss_rate_down) {
+    if (faults >= kFaultsDown || miss_rate >= kMissRateDown) {
         healthy_streak_ = 0;
         return DegradeVerdict::StepDown;
     }
-    if (faults == 0 && miss_rate <= cfg_.miss_rate_up) {
-        if (++healthy_streak_ >= cfg_.healthy_windows_up) {
+    if (faults == 0 && miss_rate <= kMissRateUp) {
+        if (++healthy_streak_ >= kHealthyWindowsUp) {
             healthy_streak_ = 0;
             return DegradeVerdict::StepUp;
         }

@@ -23,20 +23,12 @@ namespace voyager::serve {
 class TokenPredictor;
 class HeuristicEngine;
 
-/** Thresholds of the degradation state machine. */
+/** Observation window of the degradation state machine. */
 struct DegradeConfig
 {
     /** Responses per observation window; 0 turns the monitor off
      *  and the server stays on rung 0. */
     std::uint32_t window = 64;
-    /** Step down when a window's deadline-miss rate reaches this. */
-    double miss_rate_down = 0.5;
-    /** Step down when a window sees this many predictor faults. */
-    std::uint32_t faults_down = 1;
-    /** A window is healthy when fault-free and at or below this. */
-    double miss_rate_up = 0.1;
-    /** Healthy windows in a row required to step back up. */
-    std::uint32_t healthy_windows_up = 2;
 };
 
 /** What the monitor wants the server to do after a response. */
@@ -55,6 +47,15 @@ enum class DegradeVerdict : std::uint8_t
 class ServeHealthMonitor
 {
   public:
+    /** Step down when a window's deadline-miss rate reaches this. */
+    static constexpr double kMissRateDown = 0.5;
+    /** Step down when a window sees this many predictor faults. */
+    static constexpr std::uint32_t kFaultsDown = 1;
+    /** A window is healthy when fault-free and at or below this. */
+    static constexpr double kMissRateUp = 0.1;
+    /** Healthy windows in a row required to step back up. */
+    static constexpr std::uint32_t kHealthyWindowsUp = 2;
+
     explicit ServeHealthMonitor(const DegradeConfig &cfg) : cfg_(cfg) {}
 
     /** Record a predictor fault inside the current window. */

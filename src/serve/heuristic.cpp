@@ -3,19 +3,15 @@
 #include <stdexcept>
 
 #include "core/decode.hpp"
-#include "prefetch/registry.hpp"
+#include "prefetch/stream_group.hpp"
 
 namespace voyager::serve {
 
-HeuristicEngine::HeuristicEngine(std::string kind, std::uint32_t degree)
-    : kind_(std::move(kind)), degree_(degree)
+HeuristicEngine::HeuristicEngine(std::uint32_t degree) : degree_(degree)
 {
     if (degree_ == 0)
         throw std::invalid_argument("HeuristicEngine: degree must be "
                                     "positive, got 0");
-    // Build one now so an unknown kind throws here, not from observe()
-    // after the server has already taken a batch off its queue.
-    prefetch::make_prefetcher(kind_, degree_);
 }
 
 sim::Prefetcher &
@@ -23,7 +19,8 @@ HeuristicEngine::tenant_engine(std::uint32_t t)
 {
     auto it = bank_.find(t);
     if (it == bank_.end()) {
-        it = bank_.emplace(t, prefetch::make_prefetcher(kind_, degree_))
+        it = bank_.emplace(t, std::make_unique<prefetch::StreamGroup>(
+                                  degree_))
                  .first;
     }
     return *it->second;

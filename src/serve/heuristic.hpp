@@ -1,11 +1,11 @@
 /**
  * @file
  * Terminal heuristic rung of the serve degradation ladder (DESIGN.md
- * §5.19): a per-tenant table-based prefetcher (StreamGroup by default,
- * or the §5.14 ISB+BO hybrid) that answers requests when every neural
- * engine has been degraded away. The engine is *shadow-warmed*: the
- * server feeds it every live dispatched request even while a neural
- * rung is active, so stepping down does not land on a cold table.
+ * §5.19): a per-tenant StreamGroup prefetcher that answers requests
+ * when every neural engine has been degraded away. The engine is
+ * *shadow-warmed*: the server feeds it every live dispatched request
+ * even while a neural rung is active, so stepping down does not land
+ * on a cold table.
  *
  * Each tenant gets its own prefetcher instance — tenants' access
  * streams are independent, and sharing tables would let one tenant's
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -31,14 +30,10 @@ class HeuristicEngine
 {
   public:
     /**
-     * @param kind prefetch::make_prefetcher name ("stream_group",
-     *        "isb", "isb+bo", ...).
      * @param degree candidate lines requested per access.
-     * @throws std::invalid_argument naming an unknown kind or a zero
-     *         degree.
+     * @throws std::invalid_argument on a zero degree.
      */
-    explicit HeuristicEngine(std::string kind = "stream_group",
-                             std::uint32_t degree = 2);
+    explicit HeuristicEngine(std::uint32_t degree = 2);
 
     /**
      * Observe one live request's newest access and return prefetch
@@ -48,7 +43,6 @@ class HeuristicEngine
      */
     std::vector<Addr> observe(const PrefetchRequest &req);
 
-    const std::string &kind() const { return kind_; }
     std::uint32_t tenants() const
     {
         return static_cast<std::uint32_t>(bank_.size());
@@ -58,7 +52,6 @@ class HeuristicEngine
     /** Get (or lazily build) tenant `t`'s prefetcher. */
     sim::Prefetcher &tenant_engine(std::uint32_t t);
 
-    std::string kind_;
     std::uint32_t degree_;
     FlatHashMap<std::uint32_t, std::unique_ptr<sim::Prefetcher>> bank_;
     /** Per-tenant access counters (LlcAccess::index stream). */

@@ -73,51 +73,43 @@ TEST(BcePosWeight, GradientStillMatchesNumeric)
 
 TEST(LabelHorizon, BoundsPcLabelDistance)
 {
-    // PC 7 recurs 5 accesses apart; horizon 3 hides the label.
+    // PC 7 recurs one access past the label horizon, then exactly at
+    // it: the first recurrence is hidden, the second is a label.
     std::vector<LlcAccess> s;
     s.push_back(acc(7, 100));
-    for (int i = 0; i < 4; ++i)
+    for (std::size_t i = 0; i < core::kLabelHorizon; ++i)
         s.push_back(acc(1, 500 + static_cast<Addr>(i)));
     s.push_back(acc(7, 200));
+    const std::size_t second = s.size() - 1;
+    for (std::size_t i = 1; i < core::kLabelHorizon; ++i)
+        s.push_back(acc(1, 900 + static_cast<Addr>(i)));
+    s.push_back(acc(7, 300));
 
-    core::LabelerConfig tight;
-    tight.label_horizon = 3;
-    const auto lt = core::compute_labels(s, tight);
-    EXPECT_FALSE(
-        lt[0][static_cast<std::size_t>(LabelScheme::Pc)].has_value());
-
-    core::LabelerConfig loose;
-    loose.label_horizon = 10;
-    const auto ll = core::compute_labels(s, loose);
-    EXPECT_EQ(ll[0][static_cast<std::size_t>(LabelScheme::Pc)], 200u);
-
-    core::LabelerConfig unbounded;
-    unbounded.label_horizon = 0;
-    const auto lu = core::compute_labels(s, unbounded);
-    EXPECT_EQ(lu[0][static_cast<std::size_t>(LabelScheme::Pc)], 200u);
+    const auto labels = core::compute_labels(s);
+    const auto pc = static_cast<std::size_t>(LabelScheme::Pc);
+    EXPECT_FALSE(labels[0][pc].has_value());
+    EXPECT_EQ(labels[second][pc], 300u);
 }
 
 TEST(CoOccurrence, LabelOnlyWhenItMaterializes)
 {
     // Line 10's dominant follower is 77 (2 of 3 windows); the middle
     // occurrence is followed by 88 only, so it gets no co-occ label.
+    // Each block is one co-occurrence window long; its fillers are
+    // distinct lines.
     std::vector<LlcAccess> s;
-    core::LabelerConfig cfg;
-    cfg.cooccurrence_window = 2;
-    s.push_back(acc(1, 10));  // window: 77, 5
-    s.push_back(acc(1, 77));
-    s.push_back(acc(1, 5));
-    s.push_back(acc(1, 10));  // window: 88, 6  (77 absent)
-    s.push_back(acc(1, 88));
-    s.push_back(acc(1, 6));
-    s.push_back(acc(1, 10));  // window: 77, 7
-    s.push_back(acc(1, 77));
-    s.push_back(acc(1, 7));
-    const auto labels = core::compute_labels(s, cfg);
+    for (const Addr follower : {77, 88, 77}) {
+        s.push_back(acc(1, 10));
+        s.push_back(acc(1, follower));
+        for (std::size_t k = 2; k < core::kCooccurrenceWindow; ++k)
+            s.push_back(acc(1, 1000 + s.size()));
+    }
+    const auto labels = core::compute_labels(s);
+    const std::size_t w = core::kCooccurrenceWindow;
     const auto idx = static_cast<std::size_t>(LabelScheme::CoOccurrence);
     EXPECT_EQ(labels[0][idx], 77u);
-    EXPECT_FALSE(labels[3][idx].has_value());  // 77 not in this window
-    EXPECT_EQ(labels[6][idx], 77u);
+    EXPECT_FALSE(labels[w][idx].has_value());  // 77 not in this window
+    EXPECT_EQ(labels[2 * w][idx], 77u);
 }
 
 /** Counts how many indices each train_on call received. */
@@ -179,7 +171,6 @@ TEST(MultiLabelBce, TrainsAndPredicts)
     cfg.batch_size = 8;
     cfg.dropout_keep = 1.0f;
     cfg.multi_label_loss = core::MultiLabelLoss::Bce;
-    cfg.bce_pos_weight = 10.0f;
     core::VoyagerModel m(cfg, 6, 12, core::Vocabulary::kOffsetTokens);
 
     core::VoyagerBatch b;

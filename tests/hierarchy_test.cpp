@@ -148,7 +148,7 @@ TEST(Hierarchy, RedundantPrefetchNotIssued)
 TEST(Hierarchy, DescendingStrideWrapsPastLineZero)
 {
     HierarchyConfig cfg;
-    prefetch::IpStride pf(/*degree=*/2, /*confidence_threshold=*/1);
+    prefetch::IpStride pf(/*degree=*/2);
     MemoryHierarchy mem(cfg, &pf);
     // Fill line ~0's LLC set (the last) so it has no empty way. The
     // strides between these lines all differ, so IpStride (per PC)
@@ -164,9 +164,10 @@ TEST(Hierarchy, DescendingStrideWrapsPastLineZero)
     }
     ASSERT_EQ(mem.prefetch_counters().issued, 0u);
 
-    // Lines 3, 2, 1 train stride -1; at line 1 the degree-2 candidates
-    // are line 0 and line 0 - 1, which wraps to ~0, the invalid tag.
-    for (Addr line : {3, 2, 1}) {
+    // Lines 4, 3, 2, 1 train stride -1 to the confidence threshold; at
+    // line 1 the degree-2 candidates are line 0 and line 0 - 1, which
+    // wraps to ~0, the invalid tag.
+    for (Addr line : {4, 3, 2, 1}) {
         mem.access(load(now, line), now);
         now += 1000;
     }

@@ -145,49 +145,6 @@ TEST(Integration, NeuralPredictionsDriveSimulatorIpc)
     EXPECT_GE(with_nn.ipc, base.ipc);
 }
 
-TEST(Integration, CompressionPreservesPredictions)
-{
-    const auto stream_src =
-        trace::gen::make_workload("pr", Scale::Tiny, 4);
-    const auto cfg = sim::tiny_sim_config();
-    const auto stream = extract_llc_stream(stream_src, cfg);
-    core::VoyagerAdapter voyager(small_voyager(), stream);
-    core::OnlineTrainConfig ocfg;
-    ocfg.epochs = 3;
-    ocfg.train_passes = 6;
-    ocfg.max_train_samples_per_epoch = 1200;
-    train_online(voyager, stream.size(), ocfg);
-
-    std::vector<std::size_t> idx;
-    for (std::size_t i = stream.size() / 2;
-         i < stream.size() / 2 + 200 && i < stream.size(); ++i)
-        idx.push_back(i);
-    const auto before = voyager.predict_on(idx, 1);
-
-    core::CompressConfig ccfg;
-    ccfg.prune_sparsity = 0.5;
-    ccfg.dense_layer_sparsity = 0.2;
-    const auto rep = core::compress_model(voyager.model(), ccfg);
-    EXPECT_GT(rep.sparsity, 0.25);
-    EXPECT_LT(rep.pruned_int8_bytes, rep.dense_fp32_bytes);
-    EXPECT_LT(rep.pruned_fp32_bytes, rep.dense_fp32_bytes);
-
-    const auto after = voyager.predict_on(idx, 1);
-    std::size_t same = 0;
-    std::size_t considered = 0;
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-        if (before[k].empty() || after[k].empty())
-            continue;
-        ++considered;
-        same += before[k][0] == after[k][0];
-    }
-    ASSERT_GT(considered, 50u);
-    // Mild compression should keep most top-1 predictions intact.
-    EXPECT_GT(static_cast<double>(same) /
-                  static_cast<double>(considered),
-              0.6);
-}
-
 TEST(Integration, TabularPrefetcherTracksNeuralSource)
 {
     // Train Voyager, distill its token candidates over the predicted
@@ -263,7 +220,9 @@ TEST(Integration, StorageComparisonVoyagerVsTemporal)
     core::VoyagerAdapter voyager(small_voyager(), stream);
     // Dense fp32 model may exceed table storage at tiny scale; after
     // prune+quant it should be in the same ballpark or smaller.
-    const auto rep = core::compress_model(voyager.model(), {});
+    const auto rep = core::compress_model(voyager.model());
+    EXPECT_GT(rep.sparsity, 0.25);
+    EXPECT_LT(rep.pruned_fp32_bytes, rep.dense_fp32_bytes);
     EXPECT_LT(rep.pruned_int8_bytes, rep.dense_fp32_bytes / 4);
 }
 

@@ -76,24 +76,30 @@ TEST(Labeler, BasicBlockGroupsNearbyPcs)
 
 TEST(Labeler, SpatialWithinRange)
 {
-    LabelerConfig cfg;
-    cfg.spatial_range = 256;
     const std::vector<LlcAccess> s = {acc(1, 1000), acc(2, 5000),
-                                      acc(3, 1100), acc(4, 900)};
-    const auto labels = compute_labels(s, cfg);
+                                      acc(3, 1100), acc(4, 900),
+                                      acc(5, 900 + kSpatialRange)};
+    const auto labels = compute_labels(s);
     // 5000 is out of range of 1000; 1100 is the first in-range load.
     EXPECT_EQ(lab(labels[0], LabelScheme::Spatial), 1100u);
     EXPECT_EQ(lab(labels[2], LabelScheme::Spatial), 900u);
+    // The range is inclusive.
+    EXPECT_EQ(lab(labels[3], LabelScheme::Spatial), 900u + kSpatialRange);
 }
 
 TEST(Labeler, SpatialHorizonLimitsSearch)
 {
-    LabelerConfig cfg;
-    cfg.spatial_horizon = 1;
-    const std::vector<LlcAccess> s = {acc(1, 1000), acc(2, 500000),
-                                      acc(3, 1001)};
-    const auto labels = compute_labels(s, cfg);
-    EXPECT_FALSE(lab(labels[0], LabelScheme::Spatial).has_value());
+    // The in-range load sits just past the horizon, then just inside.
+    for (const std::size_t far : {kSpatialHorizon, kSpatialHorizon - 1}) {
+        std::vector<LlcAccess> s = {acc(1, 1000)};
+        for (std::size_t k = 0; k < far; ++k)
+            s.push_back(acc(2, 500000 + 1000 * k));
+        s.push_back(acc(3, 1001));
+        const auto labels = compute_labels(s);
+        EXPECT_EQ(lab(labels[0], LabelScheme::Spatial).has_value(),
+                  far < kSpatialHorizon)
+            << far << " out-of-range loads in between";
+    }
 }
 
 TEST(Labeler, CoOccurrencePicksMostFrequentFollower)
@@ -111,13 +117,18 @@ TEST(Labeler, CoOccurrencePicksMostFrequentFollower)
 
 TEST(Labeler, CoOccurrenceWindowBounds)
 {
-    LabelerConfig cfg;
-    cfg.cooccurrence_window = 1;
-    const std::vector<LlcAccess> s = {acc(1, 10), acc(2, 20),
-                                      acc(3, 30), acc(1, 10),
-                                      acc(2, 20)};
-    const auto labels = compute_labels(s, cfg);
-    // Only the immediate follower is in the window: 20.
+    // After each 10: 20 once inside the window, then 30 twice just
+    // past it. Counted over a wider window, 30 would win.
+    std::vector<LlcAccess> s;
+    for (Addr rep = 0; rep < 3; ++rep) {
+        s.push_back(acc(1, 10));
+        s.push_back(acc(2, 20));
+        for (std::size_t k = 1; k < kCooccurrenceWindow; ++k)
+            s.push_back(acc(3, 1000 + 100 * rep + k));
+        s.push_back(acc(4, 30));
+        s.push_back(acc(4, 30));
+    }
+    const auto labels = compute_labels(s);
     EXPECT_EQ(lab(labels[0], LabelScheme::CoOccurrence), 20u);
 }
 
@@ -183,24 +194,29 @@ TEST(Labeler, EmptyStream)
 }
 
 /** The nested-map labeler the flat one replaced, kept as the oracle:
- *  one hash map of follower counts per distinct line. */
+ *  one hash map of follower counts per distinct line. It spells out
+ *  the labeler's values (paper §4.4 and DESIGN.md decision 9), so a
+ *  changed constant fails the differential too. */
 std::vector<LabelSet>
-reference_labels(const std::vector<LlcAccess> &stream,
-                 const LabelerConfig &cfg)
+reference_labels(const std::vector<LlcAccess> &stream)
 {
+    constexpr std::int64_t kSpatialRange = 256;
+    constexpr std::size_t kSpatialHorizon = 32;
+    constexpr std::size_t kCooccurrenceWindow = 10;
+    constexpr int kBasicBlockShift = 8;
+    constexpr std::size_t kLabelHorizon = 32;
     const std::size_t n = stream.size();
     std::vector<LabelSet> labels(n);
     {
-        const std::size_t horizon = cfg.label_horizon;
-        auto within = [&](std::size_t from, std::size_t at) {
-            return horizon == 0 || at - from <= horizon;
+        auto within = [](std::size_t from, std::size_t at) {
+            return at - from <= kLabelHorizon;
         };
         std::optional<std::size_t> next_global;
         std::unordered_map<Addr, std::size_t> next_by_pc;
         std::unordered_map<Addr, std::size_t> next_by_bb;
         for (std::size_t i = n; i-- > 0;) {
             const auto &a = stream[i];
-            const Addr bb = a.pc >> cfg.basic_block_shift;
+            const Addr bb = a.pc >> kBasicBlockShift;
             if (next_global && within(i, *next_global)) {
                 labels[i][static_cast<std::size_t>(
                     LabelScheme::Global)] = stream[*next_global].line;
@@ -224,12 +240,12 @@ reference_labels(const std::vector<LlcAccess> &stream,
     }
     for (std::size_t i = 0; i < n; ++i) {
         const auto line = static_cast<std::int64_t>(stream[i].line);
-        const std::size_t end = std::min(n, i + 1 + cfg.spatial_horizon);
+        const std::size_t end = std::min(n, i + 1 + kSpatialHorizon);
         for (std::size_t j = i + 1; j < end; ++j) {
             if (!stream[j].is_load)
                 continue;
             const auto cand = static_cast<std::int64_t>(stream[j].line);
-            if (std::llabs(cand - line) <= cfg.spatial_range) {
+            if (std::llabs(cand - line) <= kSpatialRange) {
                 labels[i][static_cast<std::size_t>(
                     LabelScheme::Spatial)] = stream[j].line;
                 break;
@@ -242,7 +258,7 @@ reference_labels(const std::vector<LlcAccess> &stream,
         for (std::size_t i = 0; i < n; ++i) {
             const Addr a = stream[i].line;
             const std::size_t end =
-                std::min(n, i + 1 + cfg.cooccurrence_window);
+                std::min(n, i + 1 + kCooccurrenceWindow);
             auto &counts = follower_counts[a];
             for (std::size_t j = i + 1; j < end; ++j) {
                 if (stream[j].is_load && stream[j].line != a)
@@ -267,7 +283,7 @@ reference_labels(const std::vector<LlcAccess> &stream,
             if (it == best.end())
                 continue;
             const std::size_t end =
-                std::min(n, i + 1 + cfg.cooccurrence_window);
+                std::min(n, i + 1 + kCooccurrenceWindow);
             for (std::size_t j = i + 1; j < end; ++j) {
                 if (stream[j].is_load && stream[j].line == it->second) {
                     labels[i][static_cast<std::size_t>(
@@ -280,45 +296,21 @@ reference_labels(const std::vector<LlcAccess> &stream,
     return labels;
 }
 
-/** The default config and the four variations the differential test
- *  sweeps: unbounded horizon, co-occurrence windows 1 and 2, and a
- *  one-access spatial horizon. */
-std::vector<std::pair<std::string, LabelerConfig>>
-differential_configs()
-{
-    std::vector<std::pair<std::string, LabelerConfig>> out;
-    out.emplace_back("default", LabelerConfig{});
-    LabelerConfig c;
-    c.label_horizon = 0;
-    out.emplace_back("label_horizon=0", c);
-    c = {};
-    c.cooccurrence_window = 1;
-    out.emplace_back("cooccurrence_window=1", c);
-    c.cooccurrence_window = 2;
-    out.emplace_back("cooccurrence_window=2", c);
-    c = {};
-    c.spatial_horizon = 1;
-    out.emplace_back("spatial_horizon=1", c);
-    return out;
-}
-
-/** Every scheme of every access equal to the oracle's, under every
- *  differential config; reports the first mismatch only. */
+/** Every scheme of every access equal to the oracle's; reports the
+ *  first mismatch only. */
 void
 expect_matches_reference(const std::string &what,
                          const std::vector<LlcAccess> &stream)
 {
     ASSERT_FALSE(stream.empty()) << what;
-    for (const auto &[name, cfg] : differential_configs()) {
-        const auto got = compute_labels(stream, cfg);
-        const auto want = reference_labels(stream, cfg);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            for (const auto s : all_label_schemes()) {
-                ASSERT_EQ(lab(got[i], s), lab(want[i], s))
-                    << what << " " << name << " access " << i << " "
-                    << label_scheme_name(s);
-            }
+    const auto got = compute_labels(stream);
+    const auto want = reference_labels(stream);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        for (const auto s : all_label_schemes()) {
+            ASSERT_EQ(lab(got[i], s), lab(want[i], s))
+                << what << " access " << i << " "
+                << label_scheme_name(s);
         }
     }
 }

@@ -214,10 +214,7 @@ TEST(Adam, ConvergesOnQuadratic)
     for (int i = 0; i < 4; ++i)
         target.at(0, static_cast<std::size_t>(i)) =
             static_cast<float>(i) - 1.5f;
-    AdamConfig cfg;
-    cfg.lr = 0.05;
-    cfg.clip_norm = 0.0;
-    Adam opt(cfg);
+    Adam opt(AdamConfig{0.05});
     opt.add_param(&w);
     for (int step = 0; step < 500; ++step) {
         for (std::size_t i = 0; i < 4; ++i)
@@ -273,22 +270,21 @@ reference_adam_span(float *w, const float *g, float *m, float *v,
  * steps: two dense parameters and an embedding whose rows (19 wide)
  * are updated only where touched — lengths that are not a multiple of
  * the 16-lane vector, so the vector body and its remainder both run.
- * Clipping off, on and active, and on but inactive (norm below it).
+ * Gradients large enough that the norm clip rescales every step, and
+ * small enough that it never does.
  */
 TEST(Adam, StepMatchesScalarReferenceBitForBit)
 {
-    for (const double clip : {0.0, 1.0, 1e6}) {
-        SCOPED_TRACE(::testing::Message() << "clip_norm " << clip);
+    for (const float grad_scale : {1.0f, 0.1f}) {
+        SCOPED_TRACE(::testing::Message() << "grad scale " << grad_scale);
         Rng rng(29);
         Param a(3, 37);
         Param b(1, 21);
         glorot_init(a.value, rng);
         glorot_init(b.value, rng);
         Embedding emb(50, 19, rng);
-        AdamConfig cfg;
-        cfg.lr = 0.01;
-        cfg.clip_norm = clip;
-        Adam opt(cfg);
+        const double lr = 0.01;
+        Adam opt(AdamConfig{lr});
         opt.add_param(&a);
         opt.add_param(&b);
         opt.add_embedding(&emb);
@@ -301,14 +297,15 @@ TEST(Adam, StepMatchesScalarReferenceBitForBit)
             m.emplace_back(x.rows(), x.cols());
             v.emplace_back(x.rows(), x.cols());
         }
+        int clipped = 0;
         for (int step = 1; step <= 6; ++step) {
-            uniform_init(a.grad, 1.0f, rng);
-            uniform_init(b.grad, 1.0f, rng);
+            uniform_init(a.grad, grad_scale, rng);
+            uniform_init(b.grad, grad_scale, rng);
             const std::vector<std::int32_t> ids = {
                 static_cast<std::int32_t>(rng.next_below(50)),
                 static_cast<std::int32_t>(rng.next_below(50)), 7, 7};
             Matrix go(ids.size(), 19);
-            uniform_init(go, 1.0f, rng);
+            uniform_init(go, grad_scale, rng);
             emb.backward(ids, go);
 
             std::vector<Matrix> g = {a.grad, b.grad, emb.param().grad};
@@ -316,16 +313,18 @@ TEST(Adam, StepMatchesScalarReferenceBitForBit)
             for (const Matrix &x : g)
                 total += sum_squares(x);
             const double norm = std::sqrt(total);
-            if (clip > 0.0 && norm > clip)
+            if (norm > Adam::kClipNorm) {
+                ++clipped;
                 for (Matrix &x : g)
-                    scale_inplace(x, static_cast<float>(clip / norm));
-            const double bc1 = 1.0 - std::pow(cfg.beta1, step);
-            const double bc2 = 1.0 - std::pow(cfg.beta2, step);
-            const auto lr_t =
-                static_cast<float>(cfg.lr * std::sqrt(bc2) / bc1);
-            const auto b1 = static_cast<float>(cfg.beta1);
-            const auto b2 = static_cast<float>(cfg.beta2);
-            const auto eps = static_cast<float>(cfg.eps);
+                    scale_inplace(
+                        x, static_cast<float>(Adam::kClipNorm / norm));
+            }
+            const double bc1 = 1.0 - std::pow(Adam::kBeta1, step);
+            const double bc2 = 1.0 - std::pow(Adam::kBeta2, step);
+            const auto lr_t = static_cast<float>(lr * std::sqrt(bc2) / bc1);
+            const auto b1 = static_cast<float>(Adam::kBeta1);
+            const auto b2 = static_cast<float>(Adam::kBeta2);
+            const auto eps = static_cast<float>(Adam::kEps);
             for (std::size_t p = 0; p < 2; ++p)
                 reference_adam_span(w[p].data(), g[p].data(),
                                     m[p].data(), v[p].data(), w[p].size(),
@@ -343,12 +342,13 @@ TEST(Adam, StepMatchesScalarReferenceBitForBit)
                 for (std::size_t i = 0; i < p->grad.size(); ++i)
                     ASSERT_EQ(p->grad.data()[i], 0.0f);
         }
+        EXPECT_EQ(clipped, grad_scale == 1.0f ? 6 : 0);
     }
 }
 
 TEST(Adam, LrDecay)
 {
-    Adam opt(AdamConfig{1e-3, 0.9, 0.999, 1e-8, 0.0});
+    Adam opt(AdamConfig{1e-3});
     opt.decay_lr(2.0);
     EXPECT_DOUBLE_EQ(opt.lr(), 5e-4);
 }

@@ -229,6 +229,65 @@ TEST(QuantizeActivationsTest, NonFiniteRowGetsNaNScaleAndZeroBytes)
     }
 }
 
+TEST(QuantizeActivationsTest, TinyRangeRowGetsZeroRowGrid)
+{
+    // Rows 0-2 span less than 255 times the smallest float whose
+    // reciprocal is finite, so 1/scale would be +inf and their zeros
+    // 0 * inf = NaN; they take the all-zero row's grid. Row 3 is an
+    // ordinary row and keeps its own.
+    Matrix x(4, 5, 0.0f);
+    x.at(0, 0) = 1.4e-45f;  // the smallest subnormal
+    x.at(1, 2) = -1e-38f;
+    x.at(1, 4) = 5e-39f;
+    x.at(2, 1) = 1e-37f;  // a normal float, but a subnormal scale
+    x.at(3, 0) = 1.0f;
+    x.at(3, 3) = -0.5f;
+    QActivations qa;
+    QActivations want;
+    quantize_activations(x, qa);
+    quantize_activations_ref(x, want);
+    expect_same_qactivations(qa, want, "tiny ranges");
+    for (std::size_t r = 0; r < 3; ++r) {
+        EXPECT_EQ(qa.scale(r), 1.0f) << "row " << r;
+        EXPECT_EQ(qa.zero_point(r), 0) << "row " << r;
+        for (std::size_t c = 0; c < qa.stride; ++c)
+            EXPECT_EQ(qa.row(r)[c], 0) << "row " << r << " col " << c;
+    }
+    EXPECT_EQ(qa.scale(3), 1.5f / 255.0f);
+    EXPECT_EQ(qa.row(3)[0], 255);
+    EXPECT_EQ(qa.row(3)[3], 0);
+}
+
+TEST(QMatrixTest, NonFiniteWeightRowGetsNaNScaleAndZeroBytes)
+{
+    const Matrix clean = random_matrix(6, 17, 1.5f, 25);
+    Matrix w = clean;
+    w.at(1, 3) = kNaN;
+    w.at(3, 16) = kInf;
+    w.at(4, 0) = -kInf;
+    for (const bool transpose : {false, true}) {
+        SCOPED_TRACE(transpose ? "per column" : "per row");
+        const QMatrix q = QMatrix::quantize(w, transpose);
+        const QMatrix qc = QMatrix::quantize(clean, transpose);
+        ASSERT_EQ(q.rows(), qc.rows());
+        for (std::size_t ch = 0; ch < q.rows(); ++ch) {
+            // A channel is bad when it holds one of the poisoned
+            // elements: a row of w, or with transpose a column.
+            const bool bad = transpose ? ch == 3 || ch == 16 || ch == 0
+                                       : ch == 1 || ch == 3 || ch == 4;
+            EXPECT_EQ(std::isnan(q.scale(ch)), bad) << "channel " << ch;
+            if (!bad) {
+                EXPECT_EQ(q.scale(ch), qc.scale(ch)) << "channel " << ch;
+            }
+            EXPECT_EQ(q.row_sum(ch), bad ? 0 : qc.row_sum(ch))
+                << "channel " << ch;
+            for (std::size_t c = 0; c < q.cols(); ++c)
+                EXPECT_EQ(q.row(ch)[c], bad ? 0 : qc.row(ch)[c])
+                    << "channel " << ch << " col " << c;
+        }
+    }
+}
+
 TEST(QMatrixTest, RoundTripAndIdempotentRequantize)
 {
     const Matrix w = random_matrix(9, 17, 1.5f, 22);

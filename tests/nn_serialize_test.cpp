@@ -212,7 +212,7 @@ struct AdamRig
 
     explicit AdamRig(std::uint64_t seed)
         : rng(seed), emb(12, 4, rng), lin(4, 3, rng), lstm(4, 4, rng),
-          opt(AdamConfig{1e-2, 0.9, 0.999, 1e-8, 5.0})
+          opt(AdamConfig{1e-2})
     {
         opt.add_embedding(&emb);
         opt.add_param(&lin.weight());

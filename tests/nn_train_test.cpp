@@ -20,7 +20,7 @@ TEST(Training, LinearClassifierSeparatesClusters)
     // Two Gaussian clusters; logistic regression must exceed 95%.
     Rng rng(1);
     Linear lin(2, 2, rng);
-    Adam opt(AdamConfig{0.05, 0.9, 0.999, 1e-8, 0.0});
+    Adam opt(AdamConfig{0.05});
     opt.add_param(&lin.weight());
     opt.add_param(&lin.bias());
 
@@ -72,7 +72,7 @@ TEST(Training, LstmLearnsToRecallFirstToken)
     Embedding emb(V, 8, rng);
     Lstm lstm(8, 16, rng);
     Linear head(16, V, rng);
-    Adam opt(AdamConfig{0.01, 0.9, 0.999, 1e-8, 5.0});
+    Adam opt(AdamConfig{0.01});
     opt.add_embedding(&emb);
     opt.add_param(&lstm.wx());
     opt.add_param(&lstm.wh());
@@ -129,7 +129,7 @@ TEST(Training, LossDecreasesMonotonicallyOnFixedBatch)
 {
     Rng rng(3);
     Linear lin(4, 3, rng);
-    Adam opt(AdamConfig{0.02, 0.9, 0.999, 1e-8, 0.0});
+    Adam opt(AdamConfig{0.02});
     opt.add_param(&lin.weight());
     opt.add_param(&lin.bias());
     Matrix x(6, 4);
@@ -157,7 +157,7 @@ TEST(Training, BceDrivesPositivesAboveNegatives)
 {
     Rng rng(4);
     Linear lin(3, 6, rng);
-    Adam opt(AdamConfig{0.02, 0.9, 0.999, 1e-8, 0.0});
+    Adam opt(AdamConfig{0.02});
     opt.add_param(&lin.weight());
     opt.add_param(&lin.bias());
     Matrix x(2, 3);

@@ -78,7 +78,7 @@ TEST(HierSoftmax, LearnsSimpleMapping)
     // Map 4 one-hot inputs to 4 distinct classes across clusters.
     Rng rng(5);
     nn::HierarchicalSoftmax h(4, 16, rng, 4);
-    nn::Adam opt(nn::AdamConfig{0.05, 0.9, 0.999, 1e-8, 0.0});
+    nn::Adam opt(nn::AdamConfig{0.05});
     opt.add_param(&h.cluster_weight());
     opt.add_param(&h.class_weight());
 

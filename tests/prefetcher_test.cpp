@@ -189,10 +189,7 @@ TEST(BestOffset, OffsetListIsClassic52)
 
 TEST(BestOffset, LearnsConstantStride)
 {
-    BestOffsetConfig cfg;
-    cfg.degree = 1;
-    cfg.same_page_only = false;
-    BestOffset bo(cfg);
+    BestOffset bo(1);
     // Unit-stride stream long enough to saturate the score.
     Addr line = 1000;
     std::vector<Addr> last;
@@ -207,23 +204,20 @@ TEST(BestOffset, LearnsConstantStride)
 
 TEST(BestOffset, StaysQuietOnRandomStream)
 {
-    BestOffsetConfig cfg;
-    cfg.max_rounds = 4;
-    BestOffset bo(cfg);
+    BestOffset bo;
     Rng rng(5);
     std::size_t issued = 0;
-    for (int i = 0; i < 3000; ++i)
+    // Three learning phases of 100 rounds over the 52 offsets each.
+    for (int i = 0; i < 3 * 100 * 52; ++i)
         issued += !bo.on_access(acc(1, rng.next_below(1 << 30))).empty();
     // With no recurring offset, BO should (almost) never adopt one.
-    EXPECT_LT(issued, 300u);
+    EXPECT_LT(issued, 1500u);
+    EXPECT_EQ(bo.current_offset(), 0);
 }
 
 TEST(BestOffset, SamePageRestrictionHolds)
 {
-    BestOffsetConfig cfg;
-    cfg.degree = 8;
-    cfg.same_page_only = true;
-    BestOffset bo(cfg);
+    BestOffset bo(8);
     Addr line = 0;
     for (int i = 0; i < 4000; ++i) {
         const auto p = bo.on_access(acc(1, line));

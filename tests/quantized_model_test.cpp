@@ -170,6 +170,42 @@ TEST(QuantizedLayers, LinearNaNRowIsNonFiniteLikeFp32)
     }
 }
 
+TEST(QuantizedLayers, LinearNaNWeightIsNonFiniteLikeFp32)
+{
+    // A NaN weight poisons its output channel in fp32; so must an inf
+    // weight, whose products with the inputs sum to +-inf or NaN. The
+    // int8 layer must be non-finite exactly where fp32 is, and leave
+    // every other channel as the clean layer computes it.
+    Rng rng(37);
+    nn::Linear linear(24, 32, rng);
+    nn::QuantizedLinear qclean(linear);
+    linear.weight().value.at(7, 5) = std::numeric_limits<float>::quiet_NaN();
+    linear.weight().value.at(3, 20) = std::numeric_limits<float>::infinity();
+    nn::QuantizedLinear qlinear(linear);
+    const Matrix x = random_matrix(4, 24, 1.0f, 38);
+    Matrix y_fp;
+    Matrix y_clean;
+    Matrix y_q;
+    linear.forward(x, y_fp);
+    qclean.forward(x, y_clean);
+    qlinear.forward(x, y_q);
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::size_t j = 0; j < 32; ++j) {
+            EXPECT_EQ(std::isfinite(y_fp.at(i, j)), j != 5 && j != 20)
+                << "row " << i << " ch " << j;
+            EXPECT_EQ(std::isfinite(y_q.at(i, j)),
+                      std::isfinite(y_fp.at(i, j)))
+                << "row " << i << " ch " << j;
+            if (j != 5 && j != 20) {
+                EXPECT_EQ(std::memcmp(&y_q.at(i, j), &y_clean.at(i, j),
+                                      sizeof(float)),
+                          0)
+                    << "row " << i << " ch " << j;
+            }
+        }
+    }
+}
+
 constexpr std::int32_t kPcs = 9;
 constexpr std::int32_t kPages = 23;
 constexpr std::int32_t kOffsets = 17;

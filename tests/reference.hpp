@@ -71,10 +71,12 @@ quantize_activations_ref(const Matrix &x, QActivations &out)
             out.scales[r] = std::numeric_limits<float>::quiet_NaN();
             continue;
         }
-        if (hi == lo)
-            continue;
+        // A zero range, or one too small for a finite 1/scale, takes
+        // the all-zero row's grid.
         const float scale = (hi - lo) / 255.0f;
         const float inv = 1.0f / scale;
+        if (std::isinf(inv))
+            continue;
         const auto zp = std::clamp<std::int32_t>(
             static_cast<std::int32_t>(std::lround(-lo * inv)), 0, 255);
         out.scales[r] = scale;

@@ -206,13 +206,12 @@ TEST_F(HealthMonitorTest, NonFiniteStateIsFlagged)
 TEST_F(HealthMonitorTest, BaselineWindowIsBounded)
 {
     StubModel model;
-    core::HealthConfig cfg;
-    cfg.baseline_window = 4;
-    core::HealthMonitor m(cfg);
-    for (int i = 0; i < 10; ++i)
+    core::HealthMonitor m;
+    constexpr std::size_t kChecks = core::HealthMonitor::kBaselineWindow + 6;
+    for (std::size_t i = 0; i < kChecks; ++i)
         EXPECT_EQ(m.check(2.0, model), core::HealthVerdict::Healthy);
-    EXPECT_EQ(m.baseline_size(), 4u);
-    EXPECT_EQ(health_stats().checks, 10u);
+    EXPECT_EQ(m.baseline_size(), core::HealthMonitor::kBaselineWindow);
+    EXPECT_EQ(health_stats().checks, kChecks);
 }
 
 // ---------------------------------------------------------------------
@@ -295,9 +294,9 @@ TEST_F(SelfHealingTest, ExhaustionDegradesToIsbBoFallback)
     auto res = core::train_online(model, stream.size(), tc);
 
     EXPECT_TRUE(res.degraded);
-    EXPECT_EQ(res.rollbacks, tc.health.max_retries);
+    EXPECT_EQ(res.rollbacks, core::kMaxHealthRetries);
     // Retry 1 replays plainly; retry 2 is the one that backs off.
-    EXPECT_EQ(health_stats().lr_backoffs, tc.health.max_retries - 1);
+    EXPECT_EQ(health_stats().lr_backoffs, core::kMaxHealthRetries - 1);
     EXPECT_EQ(health_stats().degraded_runs, 1u);
     EXPECT_GE(fault_stats().injected_weight, 1u);
 

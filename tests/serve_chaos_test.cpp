@@ -87,7 +87,6 @@ TEST(ServeHealthMonitorTest, StepsDownOnWindowFaults)
 {
     DegradeConfig cfg;
     cfg.window = 4;
-    cfg.faults_down = 1;
     ServeHealthMonitor m(cfg);
     m.on_fault();
     for (int i = 0; i < 3; ++i)
@@ -105,7 +104,6 @@ TEST(ServeHealthMonitorTest, StepsDownOnMissRate)
 {
     DegradeConfig cfg;
     cfg.window = 4;
-    cfg.miss_rate_down = 0.5;
     ServeHealthMonitor m(cfg);
     EXPECT_EQ(m.on_response(true), DegradeVerdict::Hold);
     EXPECT_EQ(m.on_response(true), DegradeVerdict::Hold);
@@ -118,25 +116,27 @@ TEST(ServeHealthMonitorTest, StepsDownOnMissRate)
 TEST(ServeHealthMonitorTest, RecoveryIsHysteretic)
 {
     DegradeConfig cfg;
-    cfg.window = 2;
-    cfg.miss_rate_down = 0.9;
-    cfg.miss_rate_up = 0.1;
-    cfg.healthy_windows_up = 2;
+    cfg.window = 4;
     ServeHealthMonitor m(cfg);
+    // One window of four responses, the first a miss or not; returns
+    // the verdict rendered at its last response.
+    const auto window = [&m](bool first_misses) {
+        EXPECT_EQ(m.on_response(first_misses), DegradeVerdict::Hold);
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
+        return m.on_response(false);
+    };
     // One healthy window is not enough...
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
+    EXPECT_EQ(window(false), DegradeVerdict::Hold);
     EXPECT_EQ(m.healthy_streak(), 1u);
-    // ...and a middling window (missy, but below the down threshold)
-    // resets the streak instead of counting toward recovery.
-    EXPECT_EQ(m.on_response(true), DegradeVerdict::Hold);
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
+    // ...and a middling window (1/4 misses: above the recovery
+    // threshold, below the down threshold) resets the streak instead
+    // of counting toward recovery.
+    EXPECT_EQ(window(true), DegradeVerdict::Hold);
     EXPECT_EQ(m.healthy_streak(), 0u);
     // Two clean windows in a row finally step back up.
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::Hold);
-    EXPECT_EQ(m.on_response(false), DegradeVerdict::StepUp);
+    EXPECT_EQ(window(false), DegradeVerdict::Hold);
+    EXPECT_EQ(window(false), DegradeVerdict::StepUp);
     EXPECT_EQ(m.healthy_streak(), 0u);
 }
 
@@ -176,7 +176,7 @@ TEST_F(ServeChaos, NoRequestLostAndPerTenantOrderHolds)
     constexpr std::size_t kSeqLen = 4;
     StubPredictor fp32(kSeqLen, /*salt=*/0);
     StubPredictor int8(kSeqLen, /*salt=*/8);
-    HeuristicEngine heuristic("stream_group", /*degree=*/2);
+    HeuristicEngine heuristic(/*degree=*/2);
     std::vector<EngineRung> rungs;
     rungs.push_back({"fp32", &fp32, nullptr, {}});
     rungs.push_back({"int8", &int8, nullptr, {}});
@@ -300,14 +300,14 @@ TEST_F(ServeLadder, DegradesOnPoisonAndRecoversHysteretically)
         FaultPlan::parse("serve_poison@batch=0"));
     StubPredictor fp32(4, /*salt=*/0);
     StubPredictor int8(4, /*salt=*/8);
-    HeuristicEngine heuristic("stream_group", 2);
+    HeuristicEngine heuristic(2);
     std::vector<EngineRung> rungs;
     rungs.push_back({"fp32", &fp32, nullptr, {}});
     rungs.push_back({"int8", &int8, nullptr, {}});
     rungs.push_back({"heuristic", nullptr, &heuristic, {}});
     ServeConfig sc;
     sc.max_batch = 4;
-    sc.degrade.window = 4;  // defaults: faults_down=1, 2 windows up
+    sc.degrade.window = 4;  // steps down on 1 fault, up after 2 windows
     PrefetchServer server(std::move(rungs), sc);
 
     std::vector<std::uint32_t> rung_of;
@@ -354,7 +354,7 @@ TEST_F(ServeLadder, EveryPredictorFaultedFallsToHeuristic)
     fault_injector().install(
         FaultPlan::parse("serve_poison@batch=0:every=1"));
     StubPredictor fp32(4, /*salt=*/0);
-    HeuristicEngine heuristic("stream_group", 2);
+    HeuristicEngine heuristic(2);
     std::vector<EngineRung> rungs;
     rungs.push_back({"fp32", &fp32, nullptr, {}});
     rungs.push_back({"heuristic", nullptr, &heuristic, {}});
@@ -389,7 +389,7 @@ TEST_F(ServeLadder, CleanLadderMatchesSingleEngineServer)
 
     StubPredictor fp32(4, /*salt=*/0);
     StubPredictor int8(4, /*salt=*/8);
-    HeuristicEngine heuristic("stream_group", 2);
+    HeuristicEngine heuristic(2);
     std::vector<EngineRung> rungs;
     rungs.push_back({"fp32", &fp32, nullptr, {}});
     rungs.push_back({"int8", &int8, nullptr, {}});

@@ -209,7 +209,7 @@ run_serve_chaos_tiny()
     constexpr std::size_t kSeqLen = 4;
     StubPredictor fp32(kSeqLen, /*salt=*/0);
     StubPredictor int8(kSeqLen, /*salt=*/8);
-    serve::HeuristicEngine heuristic("stream_group", /*degree=*/2);
+    serve::HeuristicEngine heuristic(/*degree=*/2);
 
     std::vector<serve::EngineRung> rungs;
     rungs.push_back({"fp32", &fp32, nullptr, {}});

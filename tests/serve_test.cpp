@@ -281,23 +281,15 @@ TEST(PrefetchServerTest, ConstructorRejectsInvalidLadders)
                                        {"h", nullptr, &heur, {}}}));
 }
 
-TEST(PrefetchServerTest, HeuristicRungRejectsUnknownKindAtConstruction)
+TEST(PrefetchServerTest, HeuristicRungRejectsZeroDegreeAtConstruction)
 {
     try {
-        serve::HeuristicEngine bogus("bogus");
-        FAIL() << "HeuristicEngine accepted kind 'bogus'";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
-            << e.what();
-    }
-    try {
-        serve::HeuristicEngine zero("stream_group", 0);
+        serve::HeuristicEngine zero(0);
         FAIL() << "HeuristicEngine accepted degree 0";
     } catch (const std::invalid_argument &e) {
         EXPECT_NE(std::string(e.what()).find("degree"), std::string::npos)
             << e.what();
     }
-    EXPECT_NO_THROW(serve::HeuristicEngine("isb+bo"));
 }
 
 TEST(PrefetchServerTest, ExportsClosedServeNamespace)

@@ -23,24 +23,29 @@ acc(Addr pc, Addr line)
     return a;
 }
 
+/**
+ * Age out every open generation: fill the active table past its
+ * 64-generation cap with fresh regions (PC 1, far from the regions the
+ * tests use) for longer than the 256-access generation timeout.
+ */
+void
+age_out(prefetch::Sms &sms)
+{
+    for (Addr i = 0; i < 400; ++i)
+        sms.on_access(acc(1, 64 * (1000 + i % 100) + i / 100));
+}
+
 TEST(Sms, ReplaysLearnedFootprint)
 {
-    prefetch::SmsConfig cfg;
-    cfg.degree = 8;
-    cfg.generation_timeout = 4;
-    cfg.max_active = 2;  // force generation closes
-    prefetch::Sms sms(cfg);
+    prefetch::Sms sms(8);
 
     // Generation 1 in region 0: trigger at offset 3 by PC 9, then
     // touch offsets 5 and 7.
     sms.on_access(acc(9, 3));
     sms.on_access(acc(9, 5));
     sms.on_access(acc(9, 7));
-    // Touch two other regions to age out region 0's generation.
-    for (int i = 0; i < 6; ++i) {
-        sms.on_access(acc(1, 64 * 3 + static_cast<Addr>(i)));
-        sms.on_access(acc(2, 64 * 5 + static_cast<Addr>(i)));
-    }
+    EXPECT_EQ(sms.patterns_learned(), 0u);
+    age_out(sms);
     EXPECT_GE(sms.patterns_learned(), 1u);
 
     // New region with the same (PC, trigger-offset) signature: the
@@ -64,18 +69,14 @@ TEST(Sms, NoPredictionForUnknownSignature)
 
 TEST(Sms, DegreeCapsFootprintReplay)
 {
-    prefetch::SmsConfig cfg;
-    cfg.degree = 2;
-    cfg.generation_timeout = 2;
-    cfg.max_active = 1;
-    prefetch::Sms sms(cfg);
+    prefetch::Sms sms(2);
     // Learn a 6-line footprint.
     for (Addr o : {0ull, 1ull, 2ull, 3ull, 4ull, 5ull})
         sms.on_access(acc(7, o));
-    for (int i = 0; i < 8; ++i)
-        sms.on_access(acc(1, 64 * 9 + static_cast<Addr>(i)));
+    age_out(sms);
+    ASSERT_GE(sms.patterns_learned(), 1u);
     const auto preds = sms.on_access(acc(7, 64 * 20));
-    EXPECT_LE(preds.size(), 2u);
+    EXPECT_EQ(preds.size(), 2u);
 }
 
 TEST(Sms, InRegistry)

@@ -23,7 +23,6 @@ namespace {
 
 using prefetch::IpStride;
 using prefetch::StreamGroup;
-using prefetch::StreamGroupConfig;
 
 sim::LlcAccess
 acc(Addr pc, Addr line)
@@ -50,9 +49,7 @@ TEST_P(StreamGroupDifferential, MatchesIpStrideOnPureStream)
 {
     const auto [stride, degree] = GetParam();
     IpStride ip(degree);
-    StreamGroupConfig cfg;
-    cfg.max_degree = degree;
-    StreamGroup sg(cfg);
+    StreamGroup sg(degree);
     constexpr int kWarmup = 16;
     for (int i = 0; i < 400; ++i) {
         const Addr line =
@@ -99,9 +96,7 @@ TEST(StreamGroupDifferentialNoise, NeverRegressesStrideCoverage)
         return covered;
     };
     IpStride ip(4);
-    StreamGroupConfig cfg;
-    cfg.max_degree = 4;
-    StreamGroup sg(cfg);
+    StreamGroup sg(4);
     const auto ip_covered = run(ip);
     const auto sg_covered = run(sg);
     EXPECT_GE(sg_covered, ip_covered);
@@ -187,15 +182,14 @@ TEST(StreamGroupUnit, FastTrackSkipsTrainingOnReenteredStream)
 
 TEST(StreamGroupUnit, FastTrackExpiresOutsideReuseWindow)
 {
-    StreamGroupConfig cfg;
-    cfg.history_window = 64;
-    cfg.max_pcs = 8;
-    StreamGroup sg(cfg);
+    StreamGroup sg;
     for (int i = 0; i < 12; ++i)
         sg.on_access(acc(6, 4000 + i));
-    // Churn the small table until the stream's PC is evicted (which
-    // records its pattern), then keep going far past the reuse window.
-    for (int i = 0; i < 200; ++i)
+    // Churn the table until the stream's PC is evicted (which records
+    // its pattern), then keep going far past the reuse window.
+    const int churn = static_cast<int>(StreamGroup::kMaxPcs +
+                                       StreamGroup::kHistoryWindow) + 64;
+    for (int i = 0; i < churn; ++i)
         sg.on_access(acc(100 + i, 1u << 20));
     ASSERT_GE(sg.patterns_recorded(), 1u);
     sg.on_access(acc(6, 4000));
@@ -220,26 +214,22 @@ TEST(StreamGroupUnit, InRegistryAndObeysDegree)
 
 TEST(StreamGroupReplacement, TableStaysBounded)
 {
-    StreamGroupConfig cfg;
-    cfg.max_pcs = 32;
-    StreamGroup sg(cfg);
+    StreamGroup sg;
     for (int i = 0; i < 2000; ++i)
         sg.on_access(acc(1000 + i, 5000 + i));
-    EXPECT_LE(sg.table_pcs(), cfg.max_pcs);
-    EXPECT_GE(sg.pc_evictions(), 2000u - cfg.max_pcs);
+    EXPECT_LE(sg.table_pcs(), StreamGroup::kMaxPcs);
+    EXPECT_GE(sg.pc_evictions(), 2000u - StreamGroup::kMaxPcs);
     // Storage accounting reflects the bound (table + history).
-    const std::uint64_t per_pc = 16 + 27 * cfg.streams_per_pc;
-    EXPECT_LE(sg.storage_bytes(),
-              cfg.max_pcs * per_pc + cfg.history_size * 26);
+    const std::uint64_t per_pc = 16 + 27 * StreamGroup::kStreamsPerPc;
+    EXPECT_LE(sg.storage_bytes(), StreamGroup::kMaxPcs * per_pc +
+                                      StreamGroup::kHistorySize * 26);
 }
 
 TEST(StreamGroupReplacement, ActiveStreamSurvivesPcChurn)
 {
     // An active stream must never be dropped mid-run: one-shot PCs
     // churn the table while the hot stream keeps advancing.
-    StreamGroupConfig cfg;
-    cfg.max_pcs = 32;
-    StreamGroup sg(cfg);
+    StreamGroup sg;
     Addr hot_line = 100000;
     for (int i = 0; i < 16; ++i)
         sg.on_access(acc(7, hot_line++));

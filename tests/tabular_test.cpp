@@ -37,7 +37,6 @@ TEST(TabularUnit, BudgetSplitsLevelsUnderStrictByteModel)
     TabularConfig cfg;
     cfg.degree = 4;
     cfg.budget_bytes = 4800;
-    cfg.l2_budget_fraction = 0.25;
     TabularTable t(cfg);
     EXPECT_EQ(t.entry_bytes(), 16u + 8u * 4u);
     // 25% of 4800 = 1200 -> 25 L2 entries; the remaining 3600 -> 75.

@@ -125,10 +125,8 @@ TEST(Vocab, MaxPageDeltasHonored)
         line += static_cast<Addr>(64 + i * 64);  // growing page deltas
         s.push_back(acc(1, line));
     }
-    VocabConfig cfg;
-    cfg.max_page_deltas = 5;
-    const auto v = Vocabulary::build(s, cfg);
-    EXPECT_LE(v.num_page_delta_tokens(), 5u);
+    const auto v = Vocabulary::build(s);
+    EXPECT_EQ(v.num_page_delta_tokens(), kMaxPageDeltas);
 }
 
 TEST(Vocab, EncodedStreamAlignsWithInput)
@@ -203,9 +201,8 @@ TEST(Vocab, FuzzEncodeDecodeRoundTrip)
             r == 0 ? 0 : r == 1 ? 63 : rng.next_below(64);
         s.push_back(acc(2, make_line(page, off)));
     }
-    VocabConfig cfg;
-    cfg.max_page_deltas = 16;  // force some deltas out-of-vocab
-    const auto v = Vocabulary::build(s, cfg);
+    // More distinct page deltas than get tokens: some go out-of-vocab.
+    const auto v = Vocabulary::build(s);
 
     std::optional<Addr> prev;
     std::size_t delta_tokens = 0;
@@ -241,10 +238,17 @@ TEST(Vocab, FuzzEncodeDecodeRoundTrip)
 
 TEST(Vocab, FrequentThresholdRespected)
 {
-    VocabConfig cfg;
-    cfg.min_addr_freq = 4;  // even 3x-repeated lines become deltas
-    const auto v = Vocabulary::build(repeated_stream(), cfg);
-    const Token t = v.encode(1, 0x100, 0x5000);
+    // A line seen kMinAddrFreq times is frequent (absolute); a line
+    // seen once fewer becomes a delta.
+    std::vector<LlcAccess> s;
+    for (std::uint64_t k = 0; k < kMinAddrFreq; ++k) {
+        s.push_back(acc(1, 0x100));
+        if (k + 1 < kMinAddrFreq)
+            s.push_back(acc(2, 0x9990));
+    }
+    const auto v = Vocabulary::build(s);
+    EXPECT_FALSE(v.encode(1, 0x100, 0x9990).is_delta);
+    const Token t = v.encode(2, 0x9990, 0x100);
     EXPECT_TRUE(t.is_delta || t.page == Vocabulary::kOovPage);
 }
 
